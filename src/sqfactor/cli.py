@@ -20,7 +20,6 @@ from .engine import (
     Found,
     NoNontrivialFactor,
     SearchState,
-    XScanState,
     checkpoint_line,
     fermat_factor,
     normalize_input,
@@ -91,144 +90,91 @@ def _load_checkpoint(path: str):
     return parse_checkpoint(lines[-1])  # last line wins, files are appendable
 
 
-def _product_line(factors: List[int]) -> str:
-    return " × ".join(str(f) for f in factors)
+def _split_result(n: int, norm, method: str, outcome) -> tuple[dict, int]:
+    """The result document of one split, in output key order, and its exit code."""
+    doc = {"n": str(n), "twos": norm.two_exponent, "method": method}
+    if isinstance(outcome, BudgetExhausted):
+        line = checkpoint_line(outcome.resume)
+        doc.update(
+            outcome="budget_exhausted",
+            iterations=outcome.iterations,
+            checkpoint=line,
+            resume=dict(token.split("=") for token in line.split()),
+        )
+        return doc, _EXIT_EXHAUSTED
+    factors = norm.two_factors()
+    if isinstance(outcome, Found):
+        doc.update(
+            outcome="found",
+            p=str(outcome.p),
+            q=str(outcome.q),
+            k=outcome.k,
+            iterations=outcome.iterations,
+        )
+        factors += [outcome.p, outcome.q]
+    else:
+        if not norm.is_fully_factored:
+            factors.append(norm.residual)  # the walk found the odd residual prime
+        if len(factors) < 2:  # n itself is prime
+            doc.update(outcome="no_factor", iterations=outcome.iterations, factors=None)
+            return doc, _EXIT_NO_FACTOR
+        doc.update(outcome="complete", iterations=outcome.iterations)
+    doc["factors"] = [str(f) for f in factors]
+    return doc, _EXIT_OK
+
+
+def _print_text(doc: dict) -> None:
+    if doc["outcome"] == "budget_exhausted":
+        print(doc["checkpoint"])
+        print(
+            f"budget exhausted after {doc['iterations']} iterations; "
+            "save the line above and continue with --resume",
+            file=sys.stderr,
+        )
+    elif doc["outcome"] == "no_factor":
+        print(f"no nontrivial factor (iterations={doc['iterations']})")
+    elif doc["outcome"] == "found" and not doc["twos"]:
+        print(f"p={doc['p']} q={doc['q']} k={doc['k']} iterations={doc['iterations']}")
+    else:
+        print(" × ".join(doc["factors"]))
 
 
 def _run_split(args, method: str) -> int:
     n = parse_modulus(args.modulus)
     norm = normalize_input(n)  # raises on n < 2
-    twos = norm.two_exponent
-    residual = norm.residual
-    want_state = SearchState if method == "fermat" else XScanState
-
+    fermat = method == "fermat"
     state = None
     if args.resume:
         state = _load_checkpoint(args.resume)
-        if not isinstance(state, want_state):
+        if isinstance(state, SearchState) != fermat:
             kind = "y-walk (factor)" if isinstance(state, SearchState) else "x-walk (xscan)"
             raise ValueError(f"checkpoint is for the {kind}; wrong subcommand")
-        if state.n != residual:
+        if state.n != norm.residual:
             raise ValueError(
-                f"checkpoint is for modulus {state.n}, but {n} normalizes to {residual}"
+                f"checkpoint is for modulus {state.n}, but {n} normalizes to {norm.residual}"
             )
 
-    base = {"n": str(n), "twos": twos, "method": method}
-
-    # powers of two never reach the engine
     if norm.is_fully_factored:
-        if args.resume:
-            raise ValueError("checkpoint cannot apply: modulus is a power of two")
-        if twos == 1:  # n == 2: prime, nothing split
-            if args.json:
-                _emit_json(
-                    {**base, "outcome": "no_factor", "iterations": 0, "factors": None}
-                )
-            else:
-                print("no nontrivial factor (iterations=0)")
-            return _EXIT_NO_FACTOR
-        factors = norm.two_factors()
-        if args.json:
-            return _emit_json(
-                {
-                    **base,
-                    "outcome": "complete",
-                    "iterations": 0,
-                    "factors": [str(f) for f in factors],
-                }
-            )
-        print(_product_line(factors))
-        return _EXIT_OK
-
-    budget = _budget_from(args)
-    progress = None
-    if args.progress:
-        label = "k" if method == "fermat" else "x"
-        progress = lambda count: print(f"{label}={count}", file=sys.stderr, flush=True)
-
-    if state is not None:
-        runner = resume_fermat if method == "fermat" else resume_xscan
-        outcome = runner(state, budget, progress)
-    elif method == "fermat":
-        outcome = fermat_factor(residual, budget, progress)
+        # powers of two never reach a walk; nothing is left to split
+        outcome = NoNontrivialFactor(iterations=0)
     else:
-        outcome = xscan_factor(residual, budget, progress)
-
-    if isinstance(outcome, Found):
-        factors = norm.two_factors() + [outcome.p, outcome.q]
-        if args.json:
-            return _emit_json(
-                {
-                    **base,
-                    "outcome": "found",
-                    "p": str(outcome.p),
-                    "q": str(outcome.q),
-                    "k": outcome.k,
-                    "iterations": outcome.iterations,
-                    "factors": [str(f) for f in factors],
-                }
-            )
-        if twos:
-            print(_product_line(factors))
+        progress = None
+        if args.progress:
+            label = "k" if fermat else "x"
+            progress = lambda count: print(f"{label}={count}", file=sys.stderr, flush=True)
+        budget = _budget_from(args)
+        if state is not None:
+            outcome = (resume_fermat if fermat else resume_xscan)(state, budget, progress)
         else:
-            print(
-                f"p={outcome.p} q={outcome.q} k={outcome.k} "
-                f"iterations={outcome.iterations}"
-            )
-        return _EXIT_OK
+            walk = fermat_factor if fermat else xscan_factor
+            outcome = walk(norm.residual, budget, progress)
 
-    if isinstance(outcome, NoNontrivialFactor):
-        if twos:  # residual is prime, so the factorization is still complete
-            factors = norm.two_factors() + [residual]
-            if args.json:
-                return _emit_json(
-                    {
-                        **base,
-                        "outcome": "complete",
-                        "iterations": outcome.iterations,
-                        "factors": [str(f) for f in factors],
-                    }
-                )
-            print(_product_line(factors))
-            return _EXIT_OK
-        if args.json:
-            _emit_json(
-                {
-                    **base,
-                    "outcome": "no_factor",
-                    "iterations": outcome.iterations,
-                    "factors": None,
-                }
-            )
-            return _EXIT_NO_FACTOR
-        print(f"no nontrivial factor (iterations={outcome.iterations})")
-        return _EXIT_NO_FACTOR
-
-    # budget exhausted: checkpoint on stdout, diagnostics on stderr
-    line = checkpoint_line(outcome.resume)
+    doc, code = _split_result(n, norm, method, outcome)
     if args.json:
-        resume_fields = {"n": str(outcome.resume.n), "y0": str(outcome.resume.y0)}
-        if isinstance(outcome.resume, SearchState):
-            resume_fields["k"] = str(outcome.resume.k)
-        else:
-            resume_fields["x"] = str(outcome.resume.x)
-        _emit_json(
-            {
-                **base,
-                "outcome": "budget_exhausted",
-                "iterations": outcome.iterations,
-                "checkpoint": line,
-                "resume": resume_fields,
-            }
-        )
-        return _EXIT_EXHAUSTED
-    print(line)
-    print(
-        f"budget exhausted after {outcome.iterations} iterations; "
-        "save the line above and continue with --resume",
-        file=sys.stderr,
-    )
-    return _EXIT_EXHAUSTED
+        _emit_json(doc)
+    else:
+        _print_text(doc)
+    return code
 
 
 def _cmd_factor(args) -> int:

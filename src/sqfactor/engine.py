@@ -30,6 +30,15 @@ The same machinery supports the inverted scan over half-gaps x
 (xscan_factor): test x = 0, 1, 2, ... for n + x*x being a perfect
 square s*s, which yields y = s directly.  Both scans return identical
 (p, q); only their iteration counts differ.
+
+Both walks run under one driver, _walk.  A walk supplies a scan
+function that examines the candidates with indices i, ..., end - 1 in
+a tight loop and returns the first hit as (y, x, iterations), or None.
+The driver calls it once per slice of _SLICE candidates and owns
+everything else: the stop index a budget sets, the deadline and the
+progress callback (both serviced between slices only, so the scan
+loops read no clock), the bound at the trivial representation, and
+turning a hit or a spent budget into a FactorOutcome.
 """
 
 from __future__ import annotations
@@ -37,9 +46,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .numeric import _SQ11, _SQ63, _SQ64, _SQ65, ceil_sqrt, is_perfect_square
+from .numeric import SQUARE_RESIDUES, ceil_sqrt, is_perfect_square
 
 __all__ = [
     "Budget",
@@ -62,9 +72,9 @@ __all__ = [
     "xscan_factor",
 ]
 
-# Seconds-budget and progress callbacks are only serviced every this many
-# loop bodies; keeps the hot path free of clock reads.
-_CHECK_MASK = 4095
+# Candidates per scan call: the granularity at which the deadline and the
+# progress callback are serviced.
+_SLICE = 1 << 14
 _PROGRESS_INTERVAL = 1.0
 
 
@@ -78,6 +88,13 @@ def _require_odd_modulus(n: int) -> None:
         )
 
 
+def _require_count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 @dataclass(frozen=True)
 class SearchState:
     """Snapshot of the y-walk: candidate y = y0 + k is the next to examine."""
@@ -89,10 +106,11 @@ class SearchState:
 
     def __post_init__(self):
         _require_odd_modulus(self.n)
+        _require_count("y0", self.y0)
         if self.y0 != ceil_sqrt(self.n):
             raise ValueError("y0 must equal ceil_sqrt(n)")
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
+        _require_count("k", self.k)
+        _require_count("d", self.d)
         if self.d != (self.y0 + self.k) ** 2 - self.n:
             raise ValueError("d must equal (y0 + k)**2 - n")
 
@@ -112,10 +130,10 @@ class XScanState:
 
     def __post_init__(self):
         _require_odd_modulus(self.n)
+        _require_count("y0", self.y0)
         if self.y0 != ceil_sqrt(self.n):
             raise ValueError("y0 must equal ceil_sqrt(n)")
-        if self.x < 0:
-            raise ValueError("x must be >= 0")
+        _require_count("x", self.x)
 
     @property
     def iterations(self) -> int:
@@ -149,28 +167,34 @@ class Budget:
     """Bounds on one search call.
 
     max_iterations counts candidates examined by this call (resuming
-    grants a fresh allowance).  max_seconds is wall time, serviced at a
-    granularity of a few thousand candidates.  None means unbounded.
+    grants a fresh allowance) and must be an int.  max_seconds is wall
+    time, serviced every 16384 candidates, and must be finite and
+    positive.  None means unbounded.
     """
 
     max_iterations: Optional[int] = None
     max_seconds: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        if self.max_iterations is not None:
+            _require_count("max_iterations", self.max_iterations)
+        seconds = self.max_seconds
+        if seconds is not None and (
+            isinstance(seconds, bool)
+            or not isinstance(seconds, (int, float))
+            or not 0 < seconds < math.inf
+        ):
+            raise ValueError(f"max_seconds must be finite and positive, got {seconds!r}")
 
 
-UNLIMITED = Budget()
+def _y_state(n: int, y0: int, k: int) -> SearchState:
+    return SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
 
 
 def init_search(n: int) -> SearchState:
     """State whose first candidate is y = ceil_sqrt(n), i.e. k = 0."""
     _require_odd_modulus(n)
-    y0 = ceil_sqrt(n)
-    return SearchState(n=n, y0=y0, k=0, d=y0 * y0 - n)
+    return _y_state(n, ceil_sqrt(n), 0)
 
 
 def step(state: SearchState) -> SearchState:
@@ -196,13 +220,13 @@ def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
     fields = {}
     for token in line.split():
         key, sep, value = token.partition("=")
-        if not sep or not value.lstrip("-").isdigit() or key in fields:
+        digits = value.lstrip("-")
+        if not sep or not (digits.isascii() and digits.isdigit()) or key in fields:
             raise ValueError(f"malformed checkpoint token {token!r}")
         fields[key] = int(value)
     keys = set(fields)
     if keys == {"n", "y0", "k"}:
-        n, y0, k = fields["n"], fields["y0"], fields["k"]
-        return SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
+        return _y_state(fields["n"], fields["y0"], fields["k"])
     if keys == {"n", "y0", "x"}:
         return XScanState(n=fields["n"], y0=fields["y0"], x=fields["x"])
     raise ValueError(
@@ -211,99 +235,90 @@ def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
     )
 
 
-# --- the y-walk --------------------------------------------------------------
+# --- the walk driver and the y-walk ------------------------------------------
 
-# jump table cache: (y0 mod 64, n mod 64) -> distance from each k residue
-# to the next k whose deficit can be a square mod 64
-_SQRES64 = frozenset(i * i % 64 for i in range(64))
-_JUMPS: dict = {}
-
-
-def _jump_table(y0m: int, nm: int) -> tuple:
-    key = (y0m, nm)
-    table = _JUMPS.get(key)
-    if table is None:
-        allowed = [
-            a for a in range(64) if ((y0m + a) * (y0m + a) - nm) % 64 in _SQRES64
-        ]
-        # a square deficit exists (the trivial representation), so the
-        # allowed set is never empty and every scan distance is finite
-        table = tuple(
-            min((a - r) % 64 for a in allowed) if r not in allowed else 0
-            for r in range(64)
-        )
-        _JUMPS[key] = table
-    return table
-
-
-def _finish_found(n: int, y: int, x: int, iterations: int) -> FactorOutcome:
-    p = y - x
-    if p == 1:
-        # trivial representation n = 1 * n: the search space is exhausted
-        return NoNontrivialFactor(iterations=iterations)
-    return Found(p=p, q=y + x, k=y - ceil_sqrt(n), iterations=iterations)
-
-
-def _run_y_walk(
+def _walk(
+    scan: Callable[[int, int, int, int], Optional[tuple]],
+    new_state: Callable[[int, int, int], Union[SearchState, XScanState]],
     n: int,
     y0: int,
-    k0: int,
+    start: int,
+    last: int,
     budget: Optional[Budget],
     progress: Optional[Callable[[int], None]],
 ) -> FactorOutcome:
-    max_k = (n + 1) // 2 - y0  # index of the guaranteed trivial hit
-    if k0 > max_k:
+    """Run scan over candidates start, start + 1, ... in slices of _SLICE.
+
+    last is the index of the trivial representation n = 1 * n, which the
+    scan is bound to hit, so the walk always ends by then.
+    """
+    if start > last:
         raise ValueError("state is past the trivial representation; nothing left to scan")
-    stop = max_k + 1
+    stop = last + 1
     deadline = None
     if budget is not None:
         if budget.max_iterations is not None:
-            stop = min(stop, k0 + budget.max_iterations)
+            stop = min(stop, start + budget.max_iterations)
         if budget.max_seconds is not None:
             deadline = time.perf_counter() + budget.max_seconds
     next_report = time.perf_counter() + _PROGRESS_INTERVAL if progress else None
 
-    isqrt = math.isqrt
-    s63, s65, s11 = _SQ63, _SQ65, _SQ11
-    jumps = _jump_table(y0 % 64, n % 64)
-    k = k0
-    y = y0 + k0
-    d = y * y - n
-    bodies = 0
-    while k < stop:
-        jump = jumps[k & 63]
-        if jump:
-            if k + jump >= stop:
-                jump = stop - k
-                d += jump * (2 * y + jump)
-                y += jump
-                k = stop
+    i = start
+    while i < stop:
+        end = min(i + _SLICE, stop)
+        hit = scan(n, y0, i, end)
+        if hit is not None:
+            y, x, iterations = hit
+            if y - x == 1:
+                # trivial representation n = 1 * n: the search space is exhausted
+                return NoNontrivialFactor(iterations=iterations)
+            return Found(p=y - x, q=y + x, k=y - y0, iterations=iterations)
+        i = end
+        if deadline is not None or next_report is not None:
+            now = time.perf_counter()
+            if deadline is not None and now > deadline:
                 break
+            if next_report is not None and now >= next_report:
+                progress(i)
+                next_report = now + _PROGRESS_INTERVAL
+    return BudgetExhausted(iterations=i, resume=new_state(n, y0, i))
+
+
+@lru_cache(maxsize=None)
+def _jump_table(n_mod_64: int) -> tuple:
+    """Distance from each y mod 64 to the next y whose deficit y*y - n
+    can be a square mod 64; 0 where y itself can."""
+    sq64 = SQUARE_RESIDUES[64]
+    allowed = [a for a in range(64) if sq64[(a * a - n_mod_64) % 64]]
+    # a square deficit exists (the trivial representation), so the
+    # allowed set is never empty and every distance is finite
+    return tuple(min((a - r) % 64 for a in allowed) for r in range(64))
+
+
+def _scan_y(n: int, y0: int, i: int, end: int) -> Optional[tuple]:
+    """First square deficit among centres y0 + i, ..., y0 + end - 1, as
+    (y, x, k); centres the mod-64 jump table rules out are skipped."""
+    isqrt = math.isqrt
+    sq63, sq65, sq11 = SQUARE_RESIDUES[63], SQUARE_RESIDUES[65], SQUARE_RESIDUES[11]
+    jumps = _jump_table(n & 63)
+    y = y0 + i
+    y_end = y0 + end
+    d = y * y - n
+    while y < y_end:
+        jump = jumps[y & 63]
+        if jump:
+            if y + jump >= y_end:
+                return None
             d += jump * (2 * y + jump)
             y += jump
-            k += jump
-        # k is now in an allowed residue class; d passed the mod-64 screen
-        if s63[d % 63] and s65[d % 65] and s11[d % 11]:
+        # y is in an allowed residue class; d passed the mod-64 screen
+        if sq63[d % 63] and sq65[d % 65] and sq11[d % 11]:
             x = isqrt(d)
             if x * x == d:
-                return _finish_found(n, y, x, iterations=k)
+                return y, x, y - y0
         d += 2 * y + 1
         y += 1
-        k += 1
-        bodies += 1
-        if bodies & _CHECK_MASK == 0:
-            if deadline is not None and time.perf_counter() > deadline:
-                break
-            if next_report is not None:
-                now = time.perf_counter()
-                if now >= next_report:
-                    progress(k)
-                    next_report = now + _PROGRESS_INTERVAL
-    if k > max_k:
-        raise AssertionError("walked past the trivial representation")
-    return BudgetExhausted(
-        iterations=k, resume=SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
-    )
+    return None
 
 
 def fermat_factor(
@@ -320,7 +335,8 @@ def fermat_factor(
     runs out first.
     """
     _require_odd_modulus(n)
-    return _run_y_walk(n, ceil_sqrt(n), 0, budget, progress)
+    y0 = ceil_sqrt(n)
+    return _walk(_scan_y, _y_state, n, y0, 0, (n + 1) // 2 - y0, budget, progress)
 
 
 def resume_fermat(
@@ -329,7 +345,8 @@ def resume_fermat(
     progress: Optional[Callable[[int], None]] = None,
 ) -> FactorOutcome:
     """Continue an exhausted y-walk; examines candidates k, k+1, ..."""
-    return _run_y_walk(state.n, state.y0, state.k, budget, progress)
+    n, y0 = state.n, state.y0
+    return _walk(_scan_y, _y_state, n, y0, state.k, (n + 1) // 2 - y0, budget, progress)
 
 
 # --- closed-form prediction and the x-walk -----------------------------------
@@ -353,49 +370,21 @@ def predict_k(n: int, x: int) -> Optional[int]:
     return test.root - y0
 
 
-def _run_x_walk(
-    n: int,
-    y0: int,
-    x0: int,
-    budget: Optional[Budget],
-    progress: Optional[Callable[[int], None]],
-) -> FactorOutcome:
-    max_x = (n - 1) // 2  # half-gap of the trivial representation
-    if x0 > max_x:
-        raise ValueError("state is past the trivial representation; nothing left to scan")
-    stop = max_x + 1
-    deadline = None
-    if budget is not None:
-        if budget.max_iterations is not None:
-            stop = min(stop, x0 + budget.max_iterations)
-        if budget.max_seconds is not None:
-            deadline = time.perf_counter() + budget.max_seconds
-    next_report = time.perf_counter() + _PROGRESS_INTERVAL if progress else None
-
+def _scan_x(n: int, y0: int, i: int, end: int) -> Optional[tuple]:
+    """First square n + x*x among half-gaps x = i, ..., end - 1, as (y, x, x)."""
     isqrt = math.isqrt
-    s64, s63, s65, s11 = _SQ64, _SQ63, _SQ65, _SQ11
-    x = x0
-    t = n + x * x  # candidate square s*s = n + x*x
-    inc = 2 * x + 1
-    while x < stop:
-        if s64[t & 63] and s63[t % 63] and s65[t % 65] and s11[t % 11]:
-            s = isqrt(t)
-            if s * s == t:
-                if s - x == 1:
-                    return NoNontrivialFactor(iterations=x)
-                return Found(p=s - x, q=s + x, k=s - y0, iterations=x)
+    sq64, sq63 = SQUARE_RESIDUES[64], SQUARE_RESIDUES[63]
+    sq65, sq11 = SQUARE_RESIDUES[65], SQUARE_RESIDUES[11]
+    t = n + i * i  # candidate square y*y = n + x*x
+    inc = 2 * i + 1
+    for x in range(i, end):
+        if sq64[t & 63] and sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
+            y = isqrt(t)
+            if y * y == t:
+                return y, x, x
         t += inc
         inc += 2
-        x += 1
-        if x & _CHECK_MASK == 0:
-            if deadline is not None and time.perf_counter() > deadline:
-                break
-            if next_report is not None:
-                now = time.perf_counter()
-                if now >= next_report:
-                    progress(x)
-                    next_report = now + _PROGRESS_INTERVAL
-    return BudgetExhausted(iterations=x, resume=XScanState(n=n, y0=y0, x=x))
+    return None
 
 
 def xscan_factor(
@@ -410,7 +399,7 @@ def xscan_factor(
     number of iterations (iterations counts x candidates here).
     """
     _require_odd_modulus(n)
-    return _run_x_walk(n, ceil_sqrt(n), 0, budget, progress)
+    return _walk(_scan_x, XScanState, n, ceil_sqrt(n), 0, (n - 1) // 2, budget, progress)
 
 
 def resume_xscan(
@@ -419,7 +408,8 @@ def resume_xscan(
     progress: Optional[Callable[[int], None]] = None,
 ) -> FactorOutcome:
     """Continue an exhausted x-walk; examines candidates x, x+1, ..."""
-    return _run_x_walk(state.n, state.y0, state.x, budget, progress)
+    n = state.n
+    return _walk(_scan_x, XScanState, n, state.y0, state.x, (n - 1) // 2, budget, progress)
 
 
 # --- input normalization ------------------------------------------------------

@@ -8,52 +8,41 @@ from any number of threads.
 The square detector is split in two layers:
 
 * ``residue_filter`` rejects most non-squares by looking at the residue
-  of n modulo 64, 63, 65, and 11.  A square must be a quadratic residue
-  modulo every modulus, so a miss in any table proves n is not a square.
-  The four moduli are cheap to reduce by (64 is a mask) and jointly pass
-  only about 0.8% of uniformly random non-squares.
+  of n modulo 64, 63, 65, and 11 in the ``SQUARE_RESIDUES`` tables.  A
+  square must be a quadratic residue modulo every modulus, so a miss in
+  any table proves n is not a square.  The four moduli are cheap to
+  reduce by (64 is a mask) and jointly pass only about 0.8% of
+  uniformly random non-squares.  The factor searches in ``engine`` read
+  the same tables.
 * ``is_perfect_square`` runs the filter, then confirms survivors with an
   exact integer square root.
 
-``floor_sqrt`` is Newton's method on plain Python integers seeded from
-the bit length.  The seed ``1 << ((bits + 1) // 2)`` is always at least
-the true root, and the iteration decreases monotonically to the floor,
-so the loop can stop the first time it fails to shrink.  Correctness is
-pinned by the post-condition r*r <= n < (r+1)*(r+1) in the tests rather
-than argued here.
+``floor_sqrt`` and ``ceil_sqrt`` are ``math.isqrt`` and its ceiling.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import NamedTuple, Optional
 
 
 def floor_sqrt(n: int) -> int:
-    """Largest r with r*r <= n.
+    """Largest r with r*r <= n; ValueError for negative n.
 
     >>> floor_sqrt(187)
     13
     """
-    if n < 0:
-        raise ValueError("floor_sqrt is undefined for negative numbers")
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 1) // 2)  # >= isqrt(n), so descent is monotone
-    y = (x + n // x) // 2
-    while y < x:
-        x = y
-        y = (x + n // x) // 2
-    return x
+    return math.isqrt(n)
 
 
 def ceil_sqrt(n: int) -> int:
-    """Smallest r with r*r >= n.
+    """Smallest r with r*r >= n; ValueError for negative n.
 
     >>> ceil_sqrt(187)
     14
     """
-    r = floor_sqrt(n)
+    r = math.isqrt(n)
     return r if r * r == n else r + 1
 
 
@@ -69,11 +58,9 @@ def _square_residues(m: int) -> bytes:
     return bytes(table)
 
 
-# Quadratic-residue membership tables, indexed by n mod m.
-_SQ64 = _square_residues(64)
-_SQ63 = _square_residues(63)
-_SQ65 = _square_residues(65)
-_SQ11 = _square_residues(11)
+# Quadratic-residue membership tables: SQUARE_RESIDUES[m][n % m] is 1
+# iff n can be a square mod m.
+SQUARE_RESIDUES = {m: _square_residues(m) for m in (64, 63, 65, 11)}
 
 
 def residue_filter(n: int) -> bool:
@@ -85,9 +72,7 @@ def residue_filter(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("residue_filter is undefined for negative numbers")
-    return bool(
-        _SQ64[n & 63] and _SQ63[n % 63] and _SQ65[n % 65] and _SQ11[n % 11]
-    )
+    return all(table[n % m] for m, table in SQUARE_RESIDUES.items())
 
 
 def is_perfect_square(n: int) -> SquareTestResult:
@@ -102,7 +87,7 @@ def is_perfect_square(n: int) -> SquareTestResult:
         return SquareTestResult(False, None)
     if not residue_filter(n):
         return SquareTestResult(False, None)
-    r = floor_sqrt(n)
+    r = math.isqrt(n)
     if r * r == n:
         return SquareTestResult(True, r)
     return SquareTestResult(False, None)

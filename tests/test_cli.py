@@ -108,6 +108,11 @@ class TestBudgetsAndResume:
         code, out, _ = run_cli(capsys, "factor", "11918", "--max-iterations", "1")
         assert (code, out) == (3, "n=5959 y0=78 k=1\n")
 
+    def test_nan_seconds_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "187", "--max-seconds", "nan")
+        assert code == 1
+        assert "max_seconds must be finite and positive" in err
+
     def test_time_budget(self, capsys):
         n = (2**89 - 1) * (2**107 - 1)
         code, out, err = run_cli(capsys, "factor", str(n), "--max-seconds", "0.05")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfactor.bench import load_rsa100
 from sqfactor.engine import (
     Budget,
     BudgetExhausted,
@@ -62,6 +63,23 @@ class TestSearchState:
             SearchState(n=187, y0=14, k=0, d=10)  # d inconsistent
         with pytest.raises(ValueError):
             SearchState(n=187, y0=14, k=-1, d=9)
+
+    @pytest.mark.parametrize("bad", [2.5, 1.0, True])
+    def test_counts_must_be_ints(self, bad):
+        with pytest.raises(ValueError, match="must be an int"):
+            SearchState(n=187, y0=14, k=bad, d=(14 + bad) ** 2 - 187)
+        with pytest.raises(ValueError, match="must be an int"):
+            XScanState(n=187, y0=14, x=bad)
+
+    def test_root_and_deficit_must_be_ints(self):
+        # 14.0 == 14 and 9.0 == 9, so the equality checks alone let these in
+        for bad in (
+            lambda: SearchState(n=187, y0=14.0, k=0, d=9),
+            lambda: SearchState(n=187, y0=14, k=0, d=9.0),
+            lambda: XScanState(n=187, y0=14.0, x=0),
+        ):
+            with pytest.raises(ValueError, match="must be an int"):
+                bad()
 
 
 class TestStep:
@@ -224,6 +242,21 @@ class TestBudgets:
         more = resume_fermat(out.resume, Budget(max_iterations=100))
         assert more.iterations == out.iterations + 100
 
+    def test_fractional_budget_rejected(self):
+        # a float budget used to come back as BudgetExhausted(iterations=2.5)
+        # with a state at k=2.5
+        with pytest.raises(ValueError, match="max_iterations must be an int"):
+            fermat_factor(load_rsa100(), Budget(max_iterations=2.5))
+        for bad in (1e3, True, "10"):
+            with pytest.raises(ValueError):
+                Budget(max_iterations=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, True, "1"])
+    def test_seconds_must_be_finite_and_positive(self, bad):
+        # a NaN deadline used to be accepted and never fire
+        with pytest.raises(ValueError, match="max_seconds"):
+            Budget(max_seconds=bad)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Budget(max_iterations=-1)
@@ -329,6 +362,7 @@ class TestCheckpoints:
             "n=abc y0=14 k=0",
             "n=187 n=187 y0=14 k=0",
             "187 14 0",
+            "n=187 y0=14 k=\u0663",  # ARABIC-INDIC DIGIT THREE
         ],
     )
     def test_malformed_lines_rejected(self, line):
@@ -362,3 +396,41 @@ class TestNormalizeInput:
         for bad in (1, 0, -6):
             with pytest.raises(ValueError):
                 normalize_input(bad)
+
+
+# Chunk edges every chained run passes through: the mod-64 jump table's
+# period and the driver's slice boundaries.
+_FIXED_EDGES = (63, 64, 65, 1 << 14, 2 << 14, 3 << 14)
+_WALKS = {"fermat": (fermat_factor, resume_fermat), "xscan": (xscan_factor, resume_xscan)}
+
+
+class TestDriver:
+    @pytest.mark.parametrize("method", sorted(_WALKS))
+    @given(
+        n=st.integers(min_value=1, max_value=(1 << 17) - 1).map(lambda v: 2 * v + 1),
+        extra=st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chained_chunks_match_one_run(self, method, n, extra):
+        first, resume = _WALKS[method]
+        edges = sorted(set(_FIXED_EDGES).union(extra))
+        out = first(n, Budget(max_iterations=edges[0]))
+        done = edges[0]
+        for edge in edges[1:]:
+            if not isinstance(out, BudgetExhausted):
+                break
+            assert out.iterations == out.resume.iterations == done
+            assert parse_checkpoint(checkpoint_line(out.resume)) == out.resume
+            out = resume(out.resume, Budget(max_iterations=edge - done))
+            done = edge
+        if isinstance(out, BudgetExhausted):
+            out = resume(out.resume)
+        assert out == first(n)
+
+    def test_progress_counts_increase_within_the_walk(self):
+        counts = []
+        out = fermat_factor(load_rsa100(), Budget(max_seconds=1.5), counts.append)
+        assert isinstance(out, BudgetExhausted)
+        assert counts, "a 1.5 s walk reports progress at least once"
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert 0 < counts[-1] <= out.iterations
