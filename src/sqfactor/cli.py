@@ -53,7 +53,8 @@ def parse_modulus(text: str) -> int:
     try:
         value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
     except (ValueError, IndexError):
-        raise ValueError(f"modulus {text!r} is not a decimal or 0x-hex integer")
+        shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
+        raise ValueError(f"modulus {shown} is not a decimal or 0x-hex integer")
     if value < 0:
         raise ValueError("modulus must be nonnegative")
     return value
@@ -315,18 +316,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # moduli, factors and checkpoints may exceed CPython's int/str
+    # conversion limit (4300 digits since 3.11); lift it for this call
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except (ValueError, FeasibilityError) as exc:
         return _fail(str(exc), getattr(args, "json", False))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

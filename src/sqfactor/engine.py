@@ -31,14 +31,14 @@ The same machinery supports the inverted scan over half-gaps x
 square s*s, which yields y = s directly.  Both scans return identical
 (p, q); only their iteration counts differ.
 
-Both walks run under one driver, _walk.  A walk supplies a scan
-function that examines the candidates with indices i, ..., end - 1 in
-a tight loop and returns the first hit as (y, x, iterations), or None.
-The driver calls it once per slice of _SLICE candidates and owns
-everything else: the stop index a budget sets, the deadline and the
-progress callback (both serviced between slices only, so the scan
-loops read no clock), the bound at the trivial representation, and
-turning a hit or a spent budget into a FactorOutcome.
+Both walks seek the first j for which (a + j)**2 + c is a perfect
+square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
+One kernel, _scan, runs that search over j in i, ..., end - 1, and
+the driver, _walk, calls it once per slice of _SLICE candidates.  The
+driver owns everything else: the stop index a budget sets, the
+deadline and the progress callback (both serviced between slices
+only, so the kernel reads no clock), the bound at the trivial
+representation, and turning a hit or a spent budget into an outcome.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ __all__ = [
 # progress callback are serviced.
 _SLICE = 1 << 14
 _PROGRESS_INTERVAL = 1.0
+_SCREENS = tuple(SQUARE_RESIDUES[m] for m in (63, 65, 11))  # the kernel's 63/65/11 screens
 
 
-def _require_odd_modulus(n: int) -> None:
+def _start_root(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("modulus must be an integer")
     if n < 3 or n % 2 == 0:
@@ -86,6 +87,7 @@ def _require_odd_modulus(n: int) -> None:
             "modulus must be an odd integer >= 3; strip factors of two "
             f"first (normalize_input), got {n}"
         )
+    return ceil_sqrt(n)
 
 
 def _require_count(name: str, value) -> None:
@@ -93,6 +95,12 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
+
+
+def _require_start(n: int, y0: int) -> None:
+    _require_count("y0", y0)
+    if y0 != _start_root(n):
+        raise ValueError("y0 must equal ceil_sqrt(n)")
 
 
 @dataclass(frozen=True)
@@ -105,10 +113,7 @@ class SearchState:
     d: int
 
     def __post_init__(self):
-        _require_odd_modulus(self.n)
-        _require_count("y0", self.y0)
-        if self.y0 != ceil_sqrt(self.n):
-            raise ValueError("y0 must equal ceil_sqrt(n)")
+        _require_start(self.n, self.y0)
         _require_count("k", self.k)
         _require_count("d", self.d)
         if self.d != (self.y0 + self.k) ** 2 - self.n:
@@ -129,10 +134,7 @@ class XScanState:
     x: int
 
     def __post_init__(self):
-        _require_odd_modulus(self.n)
-        _require_count("y0", self.y0)
-        if self.y0 != ceil_sqrt(self.n):
-            raise ValueError("y0 must equal ceil_sqrt(n)")
+        _require_start(self.n, self.y0)
         _require_count("x", self.x)
 
     @property
@@ -193,8 +195,7 @@ def _y_state(n: int, y0: int, k: int) -> SearchState:
 
 def init_search(n: int) -> SearchState:
     """State whose first candidate is y = ceil_sqrt(n), i.e. k = 0."""
-    _require_odd_modulus(n)
-    return _y_state(n, ceil_sqrt(n), 0)
+    return _y_state(n, _start_root(n), 0)
 
 
 def step(state: SearchState) -> SearchState:
@@ -235,26 +236,27 @@ def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
     )
 
 
-# --- the walk driver and the y-walk ------------------------------------------
+# --- the walk driver, its kernel and the y-walk ------------------------------
 
 def _walk(
-    scan: Callable[[int, int, int, int], Optional[tuple]],
     new_state: Callable[[int, int, int], Union[SearchState, XScanState]],
     n: int,
     y0: int,
+    a: int,
+    c: int,
     start: int,
-    last: int,
     budget: Optional[Budget],
     progress: Optional[Callable[[int], None]],
 ) -> FactorOutcome:
-    """Run scan over candidates start, start + 1, ... in slices of _SLICE.
+    """Run _scan over indices start, start + 1, ... in slices of _SLICE.
 
-    last is the index of the trivial representation n = 1 * n, which the
-    scan is bound to hit, so the walk always ends by then.
+    A hit (u, r) is (y, x) on the y-walk and (x, y) on the x-walk.  The
+    trivial representation r = u +- 1 solves u*u + c == r*r at
+    u = |c - 1| / 2, so the walk always ends by then.
     """
-    if start > last:
+    stop = abs(c - 1) // 2 - a + 1  # one past the trivial representation
+    if start >= stop:
         raise ValueError("state is past the trivial representation; nothing left to scan")
-    stop = last + 1
     deadline = None
     if budget is not None:
         if budget.max_iterations is not None:
@@ -266,13 +268,14 @@ def _walk(
     i = start
     while i < stop:
         end = min(i + _SLICE, stop)
-        hit = scan(n, y0, i, end)
+        hit = _scan(a, c, i, end)
         if hit is not None:
-            y, x, iterations = hit
+            u, r = hit
+            y, x = (u, r) if u > r else (r, u)
             if y - x == 1:
                 # trivial representation n = 1 * n: the search space is exhausted
-                return NoNontrivialFactor(iterations=iterations)
-            return Found(p=y - x, q=y + x, k=y - y0, iterations=iterations)
+                return NoNontrivialFactor(iterations=u - a)
+            return Found(p=y - x, q=y + x, k=y - y0, iterations=u - a)
         i = end
         if deadline is not None or next_report is not None:
             now = time.perf_counter()
@@ -285,39 +288,38 @@ def _walk(
 
 
 @lru_cache(maxsize=None)
-def _jump_table(n_mod_64: int) -> tuple:
-    """Distance from each y mod 64 to the next y whose deficit y*y - n
-    can be a square mod 64; 0 where y itself can."""
+def _jump_table(c_mod_64: int) -> tuple:
+    """Distance from each u mod 64 to the next u for which u*u + c can be
+    a square mod 64; 0 where u itself can."""
     sq64 = SQUARE_RESIDUES[64]
-    allowed = [a for a in range(64) if sq64[(a * a - n_mod_64) % 64]]
-    # a square deficit exists (the trivial representation), so the
+    allowed = [v for v in range(64) if sq64[(v * v + c_mod_64) % 64]]
+    # both walks end at the trivial representation, a square, so the
     # allowed set is never empty and every distance is finite
-    return tuple(min((a - r) % 64 for a in allowed) for r in range(64))
+    return tuple(min((v - r) % 64 for v in allowed) for r in range(64))
 
 
-def _scan_y(n: int, y0: int, i: int, end: int) -> Optional[tuple]:
-    """First square deficit among centres y0 + i, ..., y0 + end - 1, as
-    (y, x, k); centres the mod-64 jump table rules out are skipped."""
-    isqrt = math.isqrt
-    sq63, sq65, sq11 = SQUARE_RESIDUES[63], SQUARE_RESIDUES[65], SQUARE_RESIDUES[11]
-    jumps = _jump_table(n & 63)
-    y = y0 + i
-    y_end = y0 + end
-    d = y * y - n
-    while y < y_end:
-        jump = jumps[y & 63]
+def _scan(a: int, c: int, i: int, end: int) -> Optional[tuple]:
+    """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
+    r*r, or None; values the mod-64 jump table rules out are skipped."""
+    sq63, sq65, sq11 = _SCREENS
+    jumps = _jump_table(c & 63)  # c mod 64, also for negative c
+    u = a + i
+    u_end = a + end
+    t = u * u + c
+    while u < u_end:
+        jump = jumps[u & 63]
         if jump:
-            if y + jump >= y_end:
+            if u + jump >= u_end:
                 return None
-            d += jump * (2 * y + jump)
-            y += jump
-        # y is in an allowed residue class; d passed the mod-64 screen
-        if sq63[d % 63] and sq65[d % 65] and sq11[d % 11]:
-            x = isqrt(d)
-            if x * x == d:
-                return y, x, y - y0
-        d += 2 * y + 1
-        y += 1
+            t += jump * (2 * u + jump)
+            u += jump
+        # u is in an allowed residue class; t passed the mod-64 screen
+        if sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
+            r = math.isqrt(t)
+            if r * r == t:
+                return u, r
+        t += 2 * u + 1
+        u += 1
     return None
 
 
@@ -334,9 +336,8 @@ def fermat_factor(
     (primes) and BudgetExhausted with a resumable state when the budget
     runs out first.
     """
-    _require_odd_modulus(n)
-    y0 = ceil_sqrt(n)
-    return _walk(_scan_y, _y_state, n, y0, 0, (n + 1) // 2 - y0, budget, progress)
+    y0 = _start_root(n)
+    return _walk(_y_state, n, y0, y0, -n, 0, budget, progress)
 
 
 def resume_fermat(
@@ -345,8 +346,7 @@ def resume_fermat(
     progress: Optional[Callable[[int], None]] = None,
 ) -> FactorOutcome:
     """Continue an exhausted y-walk; examines candidates k, k+1, ..."""
-    n, y0 = state.n, state.y0
-    return _walk(_scan_y, _y_state, n, y0, state.k, (n + 1) // 2 - y0, budget, progress)
+    return _walk(_y_state, state.n, state.y0, state.y0, -state.n, state.k, budget, progress)
 
 
 # --- closed-form prediction and the x-walk -----------------------------------
@@ -358,33 +358,15 @@ def predict_k(n: int, x: int) -> Optional[int]:
     perfect square s*s with s >= ceil_sqrt(n), k = s - y0.  Returns None
     otherwise (including roots below the search start, i.e. negative k).
     """
-    _require_odd_modulus(n)
+    y0 = _start_root(n)
     if x < 0:
         raise ValueError("x must be >= 0")
     test = is_perfect_square(n + x * x)
     if not test.is_square:
         return None
-    y0 = ceil_sqrt(n)
     if test.root < y0:
         return None
     return test.root - y0
-
-
-def _scan_x(n: int, y0: int, i: int, end: int) -> Optional[tuple]:
-    """First square n + x*x among half-gaps x = i, ..., end - 1, as (y, x, x)."""
-    isqrt = math.isqrt
-    sq64, sq63 = SQUARE_RESIDUES[64], SQUARE_RESIDUES[63]
-    sq65, sq11 = SQUARE_RESIDUES[65], SQUARE_RESIDUES[11]
-    t = n + i * i  # candidate square y*y = n + x*x
-    inc = 2 * i + 1
-    for x in range(i, end):
-        if sq64[t & 63] and sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
-            y = isqrt(t)
-            if y * y == t:
-                return y, x, x
-        t += inc
-        inc += 2
-    return None
 
 
 def xscan_factor(
@@ -398,8 +380,7 @@ def xscan_factor(
     same (p, q) pair as fermat_factor, generally after a different
     number of iterations (iterations counts x candidates here).
     """
-    _require_odd_modulus(n)
-    return _walk(_scan_x, XScanState, n, ceil_sqrt(n), 0, (n - 1) // 2, budget, progress)
+    return _walk(XScanState, n, _start_root(n), 0, n, 0, budget, progress)
 
 
 def resume_xscan(
@@ -408,8 +389,7 @@ def resume_xscan(
     progress: Optional[Callable[[int], None]] = None,
 ) -> FactorOutcome:
     """Continue an exhausted x-walk; examines candidates x, x+1, ..."""
-    n = state.n
-    return _walk(_scan_x, XScanState, n, state.y0, state.x, (n - 1) // 2, budget, progress)
+    return _walk(XScanState, state.n, state.y0, 0, state.n, state.x, budget, progress)
 
 
 # --- input normalization ------------------------------------------------------

@@ -143,6 +143,39 @@ class TestXScanCommand:
         assert "wrong subcommand" in err
 
 
+def _from_decimal(text):
+    # int() of a string over 4300 digits raises on CPython 3.11+; two
+    # shorter pieces stay under the limit for up to 8300 digits
+    return int(text[:-4000] or "0") * 10**4000 + int(text[-4000:])
+
+
+class TestWideIntegers:
+    def test_hex_square_split_is_printed(self, capsys):
+        root = 2**16000 + 1  # 4817 decimal digits
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run_cli(capsys, "factor", hex(root * root))
+        assert (code, err) == (0, "")
+        fields = dict(token.split("=") for token in out.split())
+        assert fields["p"] == fields["q"]
+        assert _from_decimal(fields["p"]) == root
+        assert (fields["k"], fields["iterations"]) == ("0", "0")
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit  # restored after the call
+
+    def test_wide_decimal_checkpoint_resumes(self, capsys, tmp_path):
+        modulus = "1" + "0" * 4999 + "1"  # 10**5000 + 1
+        code, out, _ = run_cli(capsys, "factor", modulus, "--max-iterations", "0")
+        assert code == 3
+        assert out.startswith(f"n={modulus} y0=1") and out.endswith(" k=0\n")
+        ckpt = tmp_path / "wide.ckpt"
+        ckpt.write_text(out)
+        code, again, _ = run_cli(
+            capsys, "factor", modulus, "--max-iterations", "5", "--resume", str(ckpt)
+        )
+        assert code == 3
+        assert again == out.replace(" k=0\n", " k=5\n")
+
+
 class TestJsonOutput:
     def test_found_document(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "187", "--json")
@@ -326,6 +359,12 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "factor", "12z")
         assert code == 1
         assert "not a decimal or 0x-hex integer" in err
+
+    def test_huge_bad_modulus_is_not_echoed(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "z" * 5000)
+        assert code == 1
+        assert "(5000 characters) is not a decimal or 0x-hex integer" in err
+        assert len(err.encode()) < 200
 
     def test_negative_modulus(self, capsys):
         code, _, err = run_cli(capsys, "factor", "-7")

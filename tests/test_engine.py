@@ -40,6 +40,34 @@ def _balanced_divisor(n):
     return best
 
 
+def _plain_outcome(y0, y, x, index):
+    if y - x == 1:
+        return NoNontrivialFactor(iterations=index)
+    return Found(p=y - x, q=y + x, k=y - y0, iterations=index)
+
+
+def _plain_fermat(n, start, budget):
+    # reference y-walk from index start: test every deficit, no residue jumps
+    y0 = ceil_sqrt(n)
+    for k in range(start, start + budget):
+        test = is_perfect_square((y0 + k) ** 2 - n)
+        if test.is_square:
+            return _plain_outcome(y0, y0 + k, test.root, k)
+    k = start + budget
+    return BudgetExhausted(iterations=k, resume=SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n))
+
+
+def _plain_xscan(n, start, budget):
+    # reference x-walk from half-gap start: test n + x*x for every x
+    y0 = ceil_sqrt(n)
+    for x in range(start, start + budget):
+        test = is_perfect_square(n + x * x)
+        if test.is_square:
+            return _plain_outcome(y0, test.root, x, x)
+    x = start + budget
+    return BudgetExhausted(iterations=x, resume=XScanState(n=n, y0=y0, x=x))
+
+
 class TestSearchState:
     def test_init_reference_values(self):
         assert init_search(187) == SearchState(n=187, y0=14, k=0, d=9)
@@ -326,6 +354,13 @@ class TestXScan:
         with pytest.raises(ValueError):
             resume_xscan(XScanState(n=17, y0=5, x=9))
 
+    def test_matches_single_step_reference_walk(self):
+        # the production loop skips half-gaps the mod-64 jump table rules
+        # out; a plain walk over every x must see the same outcome
+        rng = random.Random(29)
+        for n in [rng.randrange(9, 1 << 34) | 1 for _ in range(150)]:
+            assert xscan_factor(n, Budget(max_iterations=3000)) == _plain_xscan(n, 0, 3000)
+
 
 class TestCheckpoints:
     def test_round_trip_y_walk(self):
@@ -340,14 +375,17 @@ class TestCheckpoints:
         assert line == "n=5959 y0=78 x=7"
         assert parse_checkpoint(line) == state
 
-    @given(odd_moduli, st.integers(min_value=0, max_value=1 << 30))
+    @given(odd_moduli, st.integers(min_value=0, max_value=1 << 30), st.booleans())
     @settings(max_examples=100)
-    def test_round_trip_property(self, n, k):
+    def test_round_trip_property(self, n, k, x_walk):
         if n < 3:
             return
         y0 = ceil_sqrt(n)
         k = min(k, (n + 1) // 2 - y0)
-        state = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
+        if x_walk:
+            state = XScanState(n=n, y0=y0, x=k)
+        else:
+            state = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
         assert parse_checkpoint(checkpoint_line(state)) == state
 
     @pytest.mark.parametrize(
@@ -403,6 +441,13 @@ class TestNormalizeInput:
 _FIXED_EDGES = (63, 64, 65, 1 << 14, 2 << 14, 3 << 14)
 _WALKS = {"fermat": (fermat_factor, resume_fermat), "xscan": (xscan_factor, resume_xscan)}
 
+# (y, x) pairs whose n = y*y - x*x is odd and whose hit index (y - y0 on
+# the y-walk, x on the x-walk) lies near 2**40
+_NEAR_2_40 = {
+    "fermat": ((1 << 61, (1 << 51) + 1), ((1 << 60) + 3, (3 << 49) + 12)),
+    "xscan": (((1 << 50) + 1, (1 << 40) + 6), (3 << 48, (1 << 40) + 37)),
+}
+
 
 class TestDriver:
     @pytest.mark.parametrize("method", sorted(_WALKS))
@@ -426,6 +471,35 @@ class TestDriver:
         if isinstance(out, BudgetExhausted):
             out = resume(out.resume)
         assert out == first(n)
+
+    @given(st.integers(min_value=1, max_value=5 * 10**6 - 1).map(lambda v: 2 * v + 1))
+    @settings(max_examples=40, deadline=None)
+    def test_both_walks_match_the_largest_divisor_oracle(self, n):
+        p = _balanced_divisor(n)
+        q = n // p
+        y0 = ceil_sqrt(n)
+        walks = ((fermat_factor(n), (p + q) // 2 - y0), (xscan_factor(n), (q - p) // 2))
+        for out, iterations in walks:
+            if p == 1:
+                assert out == NoNontrivialFactor(iterations=iterations)
+            else:
+                assert out == Found(p=p, q=q, k=(p + q) // 2 - y0, iterations=iterations)
+
+    @pytest.mark.parametrize("method", sorted(_WALKS))
+    def test_resume_near_2_40_at_every_residue(self, method):
+        # the jump table is keyed by c mod 64 (c = -n on the y-walk, n on
+        # the x-walk) and indexed by u mod 64: open a window at every u
+        # mod 64, on moduli with a hit inside it and on one without
+        resume = _WALKS[method][1]
+        plain = _plain_fermat if method == "fermat" else _plain_xscan
+        cases = [(load_rsa100(), 1 << 40)]
+        for y, x in _NEAR_2_40[method]:
+            n = y * y - x * x
+            cases.append((n, y - ceil_sqrt(n) if method == "fermat" else x))
+        for n, hit in cases:
+            for start in range(hit - 100, hit - 36):
+                state = plain(n, start, 0).resume
+                assert resume(state, Budget(max_iterations=200)) == plain(n, start, 200)
 
     def test_progress_counts_increase_within_the_walk(self):
         counts = []
