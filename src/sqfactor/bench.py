@@ -12,12 +12,12 @@ to differ between runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import statistics
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, List, Optional, Sequence, Tuple, Union
@@ -143,6 +143,11 @@ def measure(
     )
 
 
+def _measure_cell(cell: tuple) -> BenchRecord:
+    sp, method, budget = cell
+    return measure(sp.n, method, budget, (sp.p, sp.q), sp.seed)
+
+
 def run_study(
     bits: int,
     gaps: Sequence[int],
@@ -155,10 +160,10 @@ def run_study(
 ) -> List[BenchRecord]:
     """Generate a gap ladder and measure every (semiprime, method) cell.
 
-    Records stream to `sink` as JSONL in completion order.  The returned
-    list is always in ladder order (gap, then method) regardless of
-    `workers`, and iteration columns are deterministic for a fixed
-    (seed, budget); wall times are not.  Infeasible rungs raise a
+    Records come back, and stream to `sink` as JSONL, in ladder order
+    (gap, then method) for every `workers`; `workers` > 1 measures the
+    cells in a process pool.  Iteration columns are deterministic for a
+    fixed (seed, budget); wall times are not.  Infeasible rungs raise a
     warning and are skipped; the rest of the study proceeds.
     """
     if not methods:
@@ -175,30 +180,20 @@ def run_study(
         except FeasibilityError as exc:
             warnings.warn(f"skipping gap window [{lo}, {hi}]: {exc}")
             continue
-        for method in methods:
-            cells.append((sp, method, rung_seed))
+        cells.extend((sp, method, budget) for method in methods)
 
-    def emit(record: BenchRecord) -> None:
-        if sink is not None:
-            sink.write(record_to_json(record) + "\n")
+    records = []
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    results: List[Optional[BenchRecord]] = [None] * len(cells)
-    if workers <= 1:
-        for i, (sp, method, rung_seed) in enumerate(cells):
-            record = measure(sp.n, method, budget, (sp.p, sp.q), rung_seed)
-            emit(record)
-            results[i] = record
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(measure, sp.n, method, budget, (sp.p, sp.q), rung_seed): i
-                for i, (sp, method, rung_seed) in enumerate(cells)
-            }
-            for future in as_completed(futures):
-                record = future.result()
-                emit(record)
-                results[futures[future]] = record
-    return [r for r in results if r is not None]
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for record in run(_measure_cell, cells):
+            if sink is not None:
+                sink.write(record_to_json(record) + "\n")
+            records.append(record)
+    return records
 
 
 # --- aggregation ---------------------------------------------------------------

@@ -9,6 +9,7 @@ stdout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -48,10 +49,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift CPython's int/str conversion limit (4300 digits since 3.11)
+    for the block: moduli, factors and checkpoints may exceed it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def parse_modulus(text: str) -> int:
     s = text.strip()
     try:
-        value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
+        with _no_int_str_limit():
+            value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
     except (ValueError, IndexError):
         shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
         raise ValueError(f"modulus {shown} is not a decimal or 0x-hex integer")
@@ -140,10 +156,10 @@ def _print_text(doc: dict) -> None:
         print(" × ".join(doc["factors"]))
 
 
-def _run_split(args, method: str) -> int:
+def _run_split(args) -> int:
     n = parse_modulus(args.modulus)
     norm = normalize_input(n)  # raises on n < 2
-    fermat = method == "fermat"
+    fermat = args.method == "fermat"
     state = None
     if args.resume:
         state = _load_checkpoint(args.resume)
@@ -170,20 +186,12 @@ def _run_split(args, method: str) -> int:
             walk = fermat_factor if fermat else xscan_factor
             outcome = walk(norm.residual, budget, progress)
 
-    doc, code = _split_result(n, norm, method, outcome)
+    doc, code = _split_result(n, norm, args.method, outcome)
     if args.json:
         _emit_json(doc)
     else:
         _print_text(doc)
     return code
-
-
-def _cmd_factor(args) -> int:
-    return _run_split(args, "fermat")
-
-
-def _cmd_xscan(args) -> int:
-    return _run_split(args, "xscan")
 
 
 def _cmd_generate(args) -> int:
@@ -281,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_factor = subs.add_parser("factor", help="difference-of-squares factor search")
     _add_split_flags(p_factor)
-    p_factor.set_defaults(handler=_cmd_factor)
+    p_factor.set_defaults(handler=_run_split, method="fermat")
 
     p_xscan = subs.add_parser("xscan", help="half-gap scan variant")
     _add_split_flags(p_xscan)
-    p_xscan.set_defaults(handler=_cmd_xscan)
+    p_xscan.set_defaults(handler=_run_split, method="xscan")
 
     p_gen = subs.add_parser("generate", help="deterministic test semiprimes")
     p_gen.add_argument("--bits", type=int, required=True)
@@ -316,25 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # moduli, factors and checkpoints may exceed CPython's int/str
-    # conversion limit (4300 digits since 3.11); lift it for this call
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (ValueError, FeasibilityError) as exc:
-        return _fail(str(exc), getattr(args, "json", False))
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    with _no_int_str_limit():
+        try:
+            args = parser.parse_args(argv)
+            return args.handler(args)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        except (ValueError, FeasibilityError) as exc:
+            return _fail(str(exc), getattr(args, "json", False))
+        except KeyboardInterrupt:
+            print("interrupted", file=sys.stderr)
+            return 130
 
 
 def entry() -> None:

@@ -44,6 +44,7 @@ representation, and turning a hit or a spent budget into an outcome.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,13 +80,20 @@ _PROGRESS_INTERVAL = 1.0
 _SCREENS = tuple(SQUARE_RESIDUES[m] for m in (63, 65, 11))  # the kernel's 63/65/11 screens
 
 
+def _shown(value) -> str:
+    """repr of value; an int over 64 bits wide is described by its bit length."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _start_root(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("modulus must be an integer")
     if n < 3 or n % 2 == 0:
         raise ValueError(
             "modulus must be an odd integer >= 3; strip factors of two "
-            f"first (normalize_input), got {n}"
+            f"first (normalize_input), got {_shown(n)}"
         )
     return ceil_sqrt(n)
 
@@ -184,9 +192,9 @@ class Budget:
         if seconds is not None and (
             isinstance(seconds, bool)
             or not isinstance(seconds, (int, float))
-            or not 0 < seconds < math.inf
+            or not 0 < seconds <= sys.float_info.max
         ):
-            raise ValueError(f"max_seconds must be finite and positive, got {seconds!r}")
+            raise ValueError(f"max_seconds must be finite and positive, got {_shown(seconds)}")
 
 
 def _y_state(n: int, y0: int, k: int) -> SearchState:
@@ -416,7 +424,7 @@ class NormalizedInput:
 def normalize_input(n: int) -> NormalizedInput:
     """Strip all factors of two from n >= 2."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
+        raise ValueError(f"modulus must be an integer >= 2, got {_shown(n)}")
     twos = 0
     residual = n
     while residual % 2 == 0:

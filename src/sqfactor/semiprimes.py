@@ -131,24 +131,11 @@ class GeneratedSemiprime:
         )
 
 
-def _next_probable_prime(start: int, rng: SplitMix64) -> Optional[int]:
-    candidate = start | 1
-    for _ in range(_WALK_LIMIT):
-        if is_probable_prime(candidate, rng=rng):
-            return candidate
-        candidate += 2
-    return None
-
-
-def _scan_gap_window(p: int, gap_lo: int, gap_hi: int, rng: SplitMix64) -> Optional[int]:
-    # first prime q with q - p in [gap_lo, gap_hi]; q stays odd
-    t = p + gap_lo
-    if t % 2 == 0:
-        t += 1
-    while t <= p + gap_hi:
+def _first_prime(lo: int, hi: int, rng: SplitMix64) -> Optional[int]:
+    """First probable prime among the odd t in [lo, hi], tested in ascending order."""
+    for t in range(lo | 1, hi + 1, 2):
         if is_probable_prime(t, rng=rng):
             return t
-        t += 2
     return None
 
 
@@ -169,15 +156,12 @@ def generate_in_window(
     half = (bits + 1) // 2
     for _ in range(attempts):
         start = (1 << (half - 1)) | rng.bits(half - 1) | 1
-        p = _next_probable_prime(start, rng)
+        p = _first_prime(start, start + 2 * _WALK_LIMIT - 1, rng)
         if p is None:
             continue
-        if gap_hi == 0:
-            q = p
-        else:
-            q = _scan_gap_window(p, max(gap_lo, 1), gap_hi, rng)
-            if q is None:
-                continue
+        q = p if gap_hi == 0 else _first_prime(p + max(gap_lo, 1), p + gap_hi, rng)
+        if q is None:
+            continue
         n = p * q
         if abs(n.bit_length() - bits) > 1:
             continue

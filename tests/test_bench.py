@@ -147,20 +147,33 @@ class TestRunStudy:
 
     def test_infeasible_rung_warns_and_study_continues(self):
         # the [3, 3] window wants gap exactly 3; odd prime + 3 is even
-        with pytest.warns(UserWarning, match=r"\[3, 3\]"):
-            records = run_study(
-                bits=16, gaps=[2, 3, 4], seed=0, methods=("fermat",), attempts=200
-            )
-        assert len(records) == 2
-        assert records[0].gap in (1, 2)
-        assert records[1].gap == 4
+        for workers in (1, 2):
+            with pytest.warns(UserWarning, match=r"\[3, 3\]"):
+                records = run_study(
+                    bits=16, gaps=[2, 3, 4], seed=0, methods=("fermat",), attempts=200,
+                    workers=workers,
+                )
+            assert len(records) == 2
+            assert records[0].gap in (1, 2)
+            assert records[1].gap == 4
+            # the only rung is infeasible: nothing to measure, nothing written
+            sink = io.StringIO()
+            with pytest.warns(UserWarning, match=r"\[1, 1\]"):
+                assert run_study(
+                    bits=16, gaps=[1], seed=0, sink=sink, attempts=50, workers=workers
+                ) == []
+            assert sink.getvalue() == ""
 
     def test_worker_pool_matches_sequential(self):
         kwargs = dict(bits=28, gaps=[8, 128], seed=1, methods=("fermat",))
-        seq = run_study(workers=1, **kwargs)
-        par = run_study(workers=2, **kwargs)
+        sinks = {1: io.StringIO(), 2: io.StringIO()}
+        seq = run_study(workers=1, sink=sinks[1], **kwargs)
+        par = run_study(workers=2, sink=sinks[2], **kwargs)
         strip = lambda r: (r.n_bits, r.gap, r.method, r.iterations, r.outcome)
         assert list(map(strip, seq)) == list(map(strip, par))
+        # the sink is written in ladder order, whatever the worker count
+        for records, sink in ((seq, sinks[1]), (par, sinks[2])):
+            assert list(map(record_from_json, sink.getvalue().splitlines())) == records
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,12 @@ class TestWideIntegers:
         assert code == 3
         assert again == out.replace(" k=0\n", " k=5\n")
 
+    def test_parse_modulus_lifts_the_limit_only_for_the_parse(self):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        assert parse_modulus("1" + "0" * 4999 + "1") == 10**5000 + 1
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
 
 class TestJsonOutput:
     def test_found_document(self, capsys):
@@ -260,6 +267,18 @@ class TestGenerateCommand:
             assert obj["seed"] == str(1 + i)
             assert int(obj["p"]) * int(obj["q"]) == int(obj["n"])
             assert 1 <= int(obj["gap"]) <= 64
+
+    def test_readme_example_is_byte_exact(self, capsys):
+        expected = (
+            '{"bits": "48", "gap": "30", "n": "136165140916099", '
+            '"p": "11668967", "q": "11668997", "seed": "7"}\n'
+            '{"bits": "48", "gap": "2", "n": "95623990677503", '
+            '"p": "9778751", "q": "9778753", "seed": "8"}\n'
+        )
+        argv = "generate --bits 48 --max-gap 65536 --seed 7 --count 2"
+        assert run_cli(capsys, *argv.split()) == (0, expected, "")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert f"$ sqfactor {argv}\n{expected}" in readme
 
     def test_deterministic_stdout(self, capsys):
         args = ("generate", "--bits", "24", "--max-gap", "256", "--seed", "7",

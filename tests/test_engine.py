@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -279,9 +280,13 @@ class TestBudgets:
             with pytest.raises(ValueError):
                 Budget(max_iterations=bad)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, True, "1"])
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), -0.5, True, "1", pytest.param(10**400, id="10**400")],
+    )
     def test_seconds_must_be_finite_and_positive(self, bad):
-        # a NaN deadline used to be accepted and never fire
+        # a NaN deadline used to be accepted and never fire; an int too
+        # wide for a float used to overflow when the deadline was set
         with pytest.raises(ValueError, match="max_seconds"):
             Budget(max_seconds=bad)
 
@@ -290,6 +295,34 @@ class TestBudgets:
             Budget(max_iterations=-1)
         with pytest.raises(ValueError):
             Budget(max_seconds=0)
+
+
+class TestHugeValuesInErrors:
+    @pytest.mark.parametrize(
+        "call, n, wording",
+        [
+            (fermat_factor, 10**5000, "modulus must be an odd integer >= 3"),
+            (xscan_factor, 10**5000, "modulus must be an odd integer >= 3"),
+            (normalize_input, -(10**5000), "modulus must be an integer >= 2"),
+        ],
+        ids=["fermat_factor", "xscan_factor", "normalize_input"],
+    )
+    def test_described_by_bit_length(self, call, n, wording):
+        # under the default int/str limit, quoting n in full would raise
+        # CPython's "Exceeds the limit (4300 digits)" instead
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            with pytest.raises(ValueError) as info:
+                call(n)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        message = str(info.value)
+        assert message.startswith(wording)
+        assert message.endswith("16610-bit integer")
+        assert len(message.encode()) < 200
 
 
 class TestPredictK:

@@ -1,6 +1,8 @@
 """Modules of the package share only public names with each other."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import sqfactor
@@ -19,3 +21,16 @@ def test_no_private_name_crosses_a_module_boundary():
                 if internal and alias.name.startswith("_"):
                     offences.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offences == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the process pool is imported only where `bench --workers N` builds it
+    probe = (
+        "import sys, sqfactor.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    ).stdout
+    assert out == "[]\n"

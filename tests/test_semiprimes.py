@@ -198,3 +198,34 @@ class TestLadder:
     def test_ladder_deterministic(self):
         gaps = [4, 64, 1024]
         assert gap_ladder(40, gaps, seed=21) == gap_ladder(40, gaps, seed=21)
+
+
+class TestGoldenValues:
+    """(p, q) pinned at the release that unified the upward prime searches:
+    the candidates, their order and the random draws must not move."""
+
+    @pytest.mark.parametrize(
+        "spec, pair",
+        [
+            (SemiprimeSpec(bits=8, max_gap=4, seed=0), (17, 19)),
+            (SemiprimeSpec(bits=24, max_gap=256, seed=1), (3271, 3299)),
+            (SemiprimeSpec(bits=32, max_gap=0, seed=5), (50021, 50021)),
+            (SemiprimeSpec(bits=48, max_gap=1 << 16, seed=7), (11668967, 11668997)),
+            (SemiprimeSpec(bits=64, max_gap=1 << 16, seed=123), (3806216521, 3806216527)),
+            (
+                SemiprimeSpec(bits=128, max_gap=1 << 20, seed=2026),
+                (15824617304438902103, 15824617304438902243),
+            ),
+        ],
+    )
+    def test_generate(self, spec, pair):
+        sp = generate(spec)
+        assert (sp.p, sp.q) == pair
+
+    def test_gap_ladder(self):
+        rungs = gap_ladder(48, [16, 256, 4096], seed=7)
+        assert [(r.p, r.q) for r in rungs] == [
+            (11259473, 11259481),
+            (9559271, 9559289),
+            (9942029, 9942299),
+        ]
