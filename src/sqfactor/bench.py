@@ -162,9 +162,9 @@ def run_study(
 
     Records come back, and stream to `sink` as JSONL, in ladder order
     (gap, then method) for every `workers`; `workers` > 1 measures the
-    cells in a process pool.  Iteration columns are deterministic for a
-    fixed (seed, budget); wall times are not.  Infeasible rungs raise a
-    warning and are skipped; the rest of the study proceeds.
+    cells in a pool of at most one process per cell.  Iteration columns
+    are deterministic for a fixed (seed, budget); wall times are not.
+    Infeasible rungs raise a warning and are skipped; the rest proceeds.
     """
     if not methods:
         raise ValueError("methods must be nonempty")
@@ -185,6 +185,7 @@ def run_study(
     records = []
     with contextlib.ExitStack() as stack:
         run = map
+        workers = min(workers, len(cells))  # a pool may start all its workers at once
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 

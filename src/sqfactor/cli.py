@@ -208,11 +208,25 @@ def _cmd_generate(args) -> int:
     return _EXIT_OK
 
 
+class _OutFile:
+    """Text sink that creates or truncates `path` at its first write, so a
+    study that fails validation leaves an existing file as it was."""
+
+    def __init__(self, path: str, stack: contextlib.ExitStack):
+        self._path, self._stack, self._fh = path, stack, None
+
+    def write(self, text: str) -> None:
+        if self._fh is None:
+            self._fh = self._stack.enter_context(open(self._path, "w", encoding="utf-8"))
+        self._fh.write(text)
+
+
 def _cmd_bench(args) -> int:
     gaps = _parse_gaps(args.gaps)
     methods = tuple(args.methods.split(","))
     budget = _budget_from(args)
-    with open(args.out, "w", encoding="utf-8") as sink:
+    with contextlib.ExitStack() as stack:
+        sink = _OutFile(args.out, stack)
         records = run_study(
             bits=args.bits,
             gaps=gaps,
@@ -222,30 +236,30 @@ def _cmd_bench(args) -> int:
             sink=sink,
             workers=args.workers,
         )
-    summary = None
-    summary_error = None
+        sink.write("")  # a study with no records still leaves an empty file
     try:
-        summary = scaling_summary(records)
+        summary, note = scaling_summary(records), None
     except ValueError as exc:
-        summary_error = str(exc)
+        summary, note = None, str(exc)
+    csv = None if summary is None else summary.as_csv()
 
-    if args.summary_csv and summary is not None:
+    if args.summary_csv and csv is not None:
         with open(args.summary_csv, "w", encoding="utf-8") as fh:
-            fh.write(summary.as_csv())
+            fh.write(csv)
 
     if args.json:
         return _emit_json(
             {
                 "records": [json.loads(record_to_json(r)) for r in records],
-                "summary_csv": None if summary is None else summary.as_csv(),
-                "summary_note": summary_error,
+                "summary_csv": csv,
+                "summary_note": note,
             }
         )
     print(f"wrote {len(records)} records to {args.out}")
-    if summary is not None:
-        print(summary.as_text(), end="")
+    if summary is None:
+        print(f"summary skipped: {note}", file=sys.stderr)
     else:
-        print(f"summary skipped: {summary_error}", file=sys.stderr)
+        print(summary.as_text(), end="")
     return _EXIT_OK
 
 
@@ -259,8 +273,7 @@ def _parse_gaps(text: str) -> List[int]:
     return gaps
 
 
-def _add_split_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("modulus", help="decimal, or hexadecimal with an 0x prefix")
+def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-iterations",
         type=int,
@@ -273,27 +286,28 @@ def _add_split_flags(sub: argparse.ArgumentParser) -> None:
         help="wall-clock budget for this run",
     )
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
-    sub.add_argument(
-        "--resume", metavar="FILE", default=None,
-        help="continue from a checkpoint line written by an exhausted run",
-    )
-    sub.add_argument(
-        "--progress", action="store_true",
-        help="periodic candidate-count lines on stderr",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sqfactor", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_factor = subs.add_parser("factor", help="difference-of-squares factor search")
-    _add_split_flags(p_factor)
-    p_factor.set_defaults(handler=_run_split, method="fermat")
-
-    p_xscan = subs.add_parser("xscan", help="half-gap scan variant")
-    _add_split_flags(p_xscan)
-    p_xscan.set_defaults(handler=_run_split, method="xscan")
+    for name, method, help_text in (
+        ("factor", "fermat", "difference-of-squares factor search"),
+        ("xscan", "xscan", "half-gap scan variant"),
+    ):
+        p_split = subs.add_parser(name, help=help_text)
+        p_split.add_argument("modulus", help="decimal, or hexadecimal with an 0x prefix")
+        _add_budget_flags(p_split)
+        p_split.add_argument(
+            "--resume", metavar="FILE", default=None,
+            help="continue from a checkpoint line written by an exhausted run",
+        )
+        p_split.add_argument(
+            "--progress", action="store_true",
+            help="periodic candidate-count lines on stderr",
+        )
+        p_split.set_defaults(handler=_run_split, method=method)
 
     p_gen = subs.add_parser("generate", help="deterministic test semiprimes")
     p_gen.add_argument("--bits", type=int, required=True)
@@ -316,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, metavar="FILE", help="JSONL sink")
     p_bench.add_argument("--summary-csv", default=None, metavar="FILE")
     p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.add_argument("--max-iterations", type=int, default=None, metavar="M")
-    p_bench.add_argument("--max-seconds", type=float, default=None, metavar="S")
-    p_bench.add_argument("--json", action="store_true")
+    _add_budget_flags(p_bench)
     p_bench.set_defaults(handler=_cmd_bench)
     return parser
 
@@ -331,7 +343,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return args.handler(args)
         except SystemExit as exc:
             return int(exc.code or 0)
-        except (ValueError, FeasibilityError) as exc:
+        except BrokenPipeError:
+            raise  # stdout is gone, so there is nowhere to report it
+        except (ValueError, FeasibilityError, OSError) as exc:
             return _fail(str(exc), getattr(args, "json", False))
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)

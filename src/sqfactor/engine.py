@@ -367,8 +367,7 @@ def predict_k(n: int, x: int) -> Optional[int]:
     otherwise (including roots below the search start, i.e. negative k).
     """
     y0 = _start_root(n)
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    _require_count("x", x)
     test = is_perfect_square(n + x * x)
     if not test.is_square:
         return None

@@ -23,7 +23,7 @@ an odd gap between odd primes, into FeasibilityError instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from .numeric import is_probable_prime
@@ -110,25 +110,11 @@ class GeneratedSemiprime:
     def as_json_dict(self) -> dict:
         # decimal strings throughout so arbitrary-width values survive
         # consumers that parse JSON numbers as doubles
-        return {
-            "p": str(self.p),
-            "q": str(self.q),
-            "n": str(self.n),
-            "gap": str(self.gap),
-            "bits": str(self.bits),
-            "seed": str(self.seed),
-        }
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GeneratedSemiprime":
-        return cls(
-            p=int(obj["p"]),
-            q=int(obj["q"]),
-            n=int(obj["n"]),
-            gap=int(obj["gap"]),
-            bits=int(obj["bits"]),
-            seed=int(obj["seed"]),
-        )
+        return cls(**{f.name: int(obj[f.name]) for f in fields(cls)})
 
 
 def _first_prime(lo: int, hi: int, rng: SplitMix64) -> Optional[int]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import math
@@ -174,6 +175,28 @@ class TestRunStudy:
         # the sink is written in ladder order, whatever the worker count
         for records, sink in ((seq, sinks[1]), (par, sinks[2])):
             assert list(map(record_from_json, sink.getvalue().splitlines())) == records
+
+    def test_pool_is_capped_at_the_cell_count(self, monkeypatch):
+        built = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        kwargs = dict(bits=20, seed=1, methods=("fermat",), workers=64)
+        assert len(run_study(gaps=[4, 32], **kwargs)) == 2
+        assert built == [2]
+        assert len(run_study(gaps=[4], **kwargs)) == 1
+        assert built == [2]  # one cell is measured in-process
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

@@ -303,6 +303,16 @@ class TestGenerateCommand:
         items = json.loads(out)
         assert isinstance(items, list) and len(items) == 2
 
+    def test_json_array_is_byte_exact(self, capsys):
+        expected = (
+            '[{"p": "11668967", "q": "11668997", "n": "136165140916099", '
+            '"gap": "30", "bits": "48", "seed": "7"}, '
+            '{"p": "9778751", "q": "9778753", "n": "95623990677503", '
+            '"gap": "2", "bits": "48", "seed": "8"}]\n'
+        )
+        argv = "generate --bits 48 --max-gap 65536 --seed 7 --count 2 --json"
+        assert run_cli(capsys, *argv.split()) == (0, expected, "")
+
 
 class TestBenchCommand:
     def test_writes_jsonl_and_summary(self, capsys, tmp_path):
@@ -354,6 +364,62 @@ class TestBenchCommand:
         )
         assert code == 0
         assert "wrote 2 records" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--methods", "rho"), ("--bits", "2"), ("--seed", "-1"), ("--gaps", "64,8")],
+    )
+    def test_usage_error_leaves_out_untouched(self, capsys, tmp_path, flag, value):
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"kept\n")
+        argv = {"--bits": "20", "--gaps": "8,64", "--seed": "0", "--methods": "fermat"}
+        argv[flag] = value
+        args = [part for item in argv.items() for part in item]
+        code, _, err = run_cli(capsys, "bench", *args, "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out_path.read_bytes() == b"kept\n"
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        args = ("bench", "--bits", "20", "--gaps", "8,64", "--seed", "0",
+                "--out", str(tmp_path / "absent" / "r.jsonl"))
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+        code, out, err = run_cli(capsys, *args, "--json")
+        assert (code, err) == (1, "")
+        assert "No such file or directory" in json.loads(out)["error"]
+
+    def test_zero_iteration_budget(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "bench", "--bits", "24", "--gaps", "8,64", "--seed", "0",
+            "--out", str(tmp_path / "r.jsonl"), "--max-iterations", "0", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["records"]) == 4
+        assert {(r["outcome"], r["iterations"]) for r in doc["records"]} == {
+            ("budget_exhausted", 0)
+        }
+        assert doc["summary_csv"] is None
+        assert doc["summary_note"].startswith("no found outcomes to summarize")
+
+    def test_nan_seconds_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "bench", "--bits", "24", "--gaps", "8,64", "--seed", "0",
+            "--out", str(tmp_path / "r.jsonl"), "--max-seconds", "nan",
+        )
+        assert code == 1
+        assert "max_seconds must be finite and positive" in err
+
+    def test_summary_csv_file_matches_json_document(self, capsys, tmp_path):
+        csv_path = tmp_path / "summary.csv"
+        code, out, _ = run_cli(
+            capsys, "bench", "--bits", "24", "--gaps", "8,64", "--seed", "0",
+            "--out", str(tmp_path / "r.jsonl"), "--summary-csv", str(csv_path), "--json",
+        )
+        assert code == 0
+        assert csv_path.read_text(encoding="utf-8") == json.loads(out)["summary_csv"]
 
     def test_bad_gaps_text(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -356,6 +356,9 @@ class TestPredictK:
             predict_k(10, 1)
         with pytest.raises(ValueError):
             predict_k(187, -1)
+        for bad in (3.0, True):
+            with pytest.raises(ValueError, match="x must be an int"):
+                predict_k(187, bad)
 
 
 class TestXScan:
