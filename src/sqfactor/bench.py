@@ -18,14 +18,15 @@ import math
 import statistics
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import IO, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from .engine import (
     Budget,
     BudgetExhausted,
     Found,
+    NoNontrivialFactor,
     fermat_factor,
     xscan_factor,
 )
@@ -51,54 +52,46 @@ class BenchRecord:
     method: str
     iterations: int
     elapsed_ns: int
-    outcome: str  # found | no_factor | budget_exhausted
+    outcome: str  # a value of _OUTCOME_NAMES
     seed: Optional[int] = None
     predicted_iterations: Optional[int] = None  # (p+q)/2 - ceil_sqrt(n) when p, q known
 
 
-def _json_int(value: Optional[int]) -> Union[int, str, None]:
-    if value is None:
-        return None
-    return value if -_SAFE_JSON_INT < value < _SAFE_JSON_INT else str(value)
-
-
-def _as_string(value: Optional[int]) -> Optional[str]:
-    return None if value is None else str(value)
+# An int field is written as a decimal string from this magnitude on: gap
+# and seed are labels, always strings; counts only where a double is inexact
+_STRING_FROM = {"gap": 0, "seed": 0}
+_HINTS = get_type_hints(BenchRecord)
+# (name, string magnitude or None for a str field, optional) in declaration order
+_FIELDS = tuple(
+    (f.name, None if _HINTS[f.name] is str else _STRING_FROM.get(f.name, _SAFE_JSON_INT),
+     type(None) in get_args(_HINTS[f.name]))
+    for f in fields(BenchRecord)
+)
 
 
 def record_to_json(record: BenchRecord) -> str:
     """One JSONL line; decimal strings for gap, seed, and oversize counts."""
-    return json.dumps(
-        {
-            "n_bits": record.n_bits,
-            "gap": _as_string(record.gap),
-            "method": record.method,
-            "iterations": _json_int(record.iterations),
-            "elapsed_ns": _json_int(record.elapsed_ns),
-            "outcome": record.outcome,
-            "seed": _as_string(record.seed),
-            "predicted_iterations": _json_int(record.predicted_iterations),
-        },
-        sort_keys=True,
-    )
-
-
-def _opt_int(value) -> Optional[int]:
-    return None if value is None else int(value)
+    obj = {}
+    for name, limit, _ in _FIELDS:
+        value = getattr(record, name)
+        if limit is not None and value is not None and abs(value) >= limit:
+            value = str(value)
+        obj[name] = value
+    return json.dumps(obj, sort_keys=True)
 
 
 def record_from_json(line: str) -> BenchRecord:
     obj = json.loads(line)
-    return BenchRecord(
-        n_bits=int(obj["n_bits"]),
-        gap=_opt_int(obj.get("gap")),
-        method=obj["method"],
-        iterations=int(obj["iterations"]),
-        elapsed_ns=int(obj["elapsed_ns"]),
-        outcome=obj["outcome"],
-        seed=_opt_int(obj.get("seed")),
-        predicted_iterations=_opt_int(obj.get("predicted_iterations")),
-    )
+    values = {}
+    for name, limit, optional in _FIELDS:
+        value = obj.get(name) if optional else obj[name]
+        values[name] = value if limit is None or (value is None and optional) else int(value)
+    return BenchRecord(**values)
+
+
+_OUTCOME_NAMES = {
+    Found: "found", NoNontrivialFactor: "no_factor", BudgetExhausted: "budget_exhausted"
+}
 
 
 def measure(
@@ -121,16 +114,8 @@ def measure(
     outcome = run(n, budget)
     elapsed = max(time.perf_counter_ns() - t0, 1)
 
-    p = q = None
-    if factors is not None:
-        p, q = factors
-    if isinstance(outcome, Found):
-        p, q = outcome.p, outcome.q
-        kind = "found"
-    elif isinstance(outcome, BudgetExhausted):
-        kind = "budget_exhausted"
-    else:
-        kind = "no_factor"
+    kind = _OUTCOME_NAMES[type(outcome)]
+    p, q = (outcome.p, outcome.q) if kind == "found" else factors or (None, None)
     return BenchRecord(
         n_bits=n.bit_length(),
         gap=None if p is None else q - p,
@@ -210,7 +195,23 @@ class SummaryRow:
     median_elapsed_ns: float
 
 
-_CSV_HEADER = "gap,n_bits,runs,median_iterations,analytic_iterations,ratio,median_elapsed_ns"
+_ROW_HINTS = get_type_hints(SummaryRow)
+# (name, format spec) per column; the ratio's spec is the caller's
+_COLUMNS = tuple(
+    (f.name, ".6g" if _ROW_HINTS[f.name] is float else "") for f in fields(SummaryRow)
+)
+
+
+def _cells(row: SummaryRow, ratio_spec: str, no_ratio: str) -> List[str]:
+    """One row's cells in column order, for both the CSV and the text table."""
+    cells = []
+    for name, spec in _COLUMNS:
+        value = getattr(row, name)
+        if name == "ratio":
+            cells.append(no_ratio if value is None else format(value, ratio_spec))
+        else:
+            cells.append(format(value, spec))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -218,36 +219,14 @@ class SummaryTable:
     rows: List[SummaryRow]
 
     def as_csv(self) -> str:
-        lines = [_CSV_HEADER]
-        for r in self.rows:
-            ratio = "" if r.ratio is None else f"{r.ratio:.6g}"
-            lines.append(
-                f"{r.gap},{r.n_bits},{r.runs},{r.median_iterations:.6g},"
-                f"{r.analytic_iterations:.6g},{ratio},{r.median_elapsed_ns:.6g}"
-            )
-        return "\n".join(lines) + "\n"
+        table = [[name for name, _ in _COLUMNS]] + [_cells(r, ".6g", "") for r in self.rows]
+        return "".join(",".join(row) + "\n" for row in table)
 
     def as_text(self) -> str:
         header = ("gap", "n_bits", "runs", "median_iter", "analytic", "ratio", "median_ns")
-        table = [header]
-        for r in self.rows:
-            table.append(
-                (
-                    str(r.gap),
-                    str(r.n_bits),
-                    str(r.runs),
-                    f"{r.median_iterations:.6g}",
-                    f"{r.analytic_iterations:.6g}",
-                    "-" if r.ratio is None else f"{r.ratio:.3g}",
-                    f"{r.median_elapsed_ns:.6g}",
-                )
-            )
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
-            for row in table
-        ]
-        return "\n".join(lines) + "\n"
+        table = [header] + [_cells(r, ".3g", "-") for r in self.rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "".join("  ".join(map(str.rjust, row, widths)) + "\n" for row in table)
 
 
 def analytic_iterations(gap: int, n_bits: int) -> float:

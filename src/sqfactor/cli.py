@@ -195,6 +195,10 @@ def _run_split(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if not 0 <= args.seed <= _MASK64:
+        raise ValueError("seed must fit in 64 bits")  # only the --count advance wraps
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
     items = []
     for i in range(args.count):
         spec = SemiprimeSpec(

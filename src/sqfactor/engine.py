@@ -354,6 +354,8 @@ def resume_fermat(
     progress: Optional[Callable[[int], None]] = None,
 ) -> FactorOutcome:
     """Continue an exhausted y-walk; examines candidates k, k+1, ..."""
+    if not isinstance(state, SearchState):
+        raise ValueError(f"resume_fermat needs a SearchState, got {type(state).__name__}")
     return _walk(_y_state, state.n, state.y0, state.y0, -state.n, state.k, budget, progress)
 
 
@@ -396,6 +398,8 @@ def resume_xscan(
     progress: Optional[Callable[[int], None]] = None,
 ) -> FactorOutcome:
     """Continue an exhausted x-walk; examines candidates x, x+1, ..."""
+    if not isinstance(state, XScanState):
+        raise ValueError(f"resume_xscan needs an XScanState, got {type(state).__name__}")
     return _walk(XScanState, state.n, state.y0, 0, state.n, state.x, budget, progress)
 
 

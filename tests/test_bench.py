@@ -121,6 +121,58 @@ class TestRecordJson:
         assert a.seed is None
 
 
+_BIG = 3**126  # a 200-bit count
+
+_GOLDEN_LINES = [
+    (None, '{"elapsed_ns": 1234, "gap": null, "iterations": 7, "method": "xscan", '
+           '"n_bits": 330, "outcome": "budget_exhausted", "predicted_iterations": null, '
+           '"seed": null}'),
+    (0, '{"elapsed_ns": 0, "gap": "0", "iterations": 0, "method": "xscan", '
+        '"n_bits": 330, "outcome": "budget_exhausted", "predicted_iterations": 0, '
+        '"seed": "0"}'),
+    (2**53 - 1, '{"elapsed_ns": 9007199254740991, "gap": "9007199254740991", '
+                '"iterations": 9007199254740991, "method": "xscan", "n_bits": 330, '
+                '"outcome": "budget_exhausted", "predicted_iterations": 9007199254740991, '
+                '"seed": "9007199254740991"}'),
+    (2**53, '{"elapsed_ns": "9007199254740992", "gap": "9007199254740992", '
+            '"iterations": "9007199254740992", "method": "xscan", "n_bits": 330, '
+            '"outcome": "budget_exhausted", "predicted_iterations": "9007199254740992", '
+            '"seed": "9007199254740992"}'),
+    (-(2**53), '{"elapsed_ns": "-9007199254740992", "gap": "-9007199254740992", '
+               '"iterations": "-9007199254740992", "method": "xscan", "n_bits": 330, '
+               '"outcome": "budget_exhausted", "predicted_iterations": "-9007199254740992", '
+               '"seed": "-9007199254740992"}'),
+    (_BIG, '{"elapsed_ns": "1310020508637620352391208095712502073964245732475093456566329", '
+           '"gap": "1310020508637620352391208095712502073964245732475093456566329", '
+           '"iterations": "1310020508637620352391208095712502073964245732475093456566329", '
+           '"method": "xscan", "n_bits": 330, "outcome": "budget_exhausted", '
+           '"predicted_iterations": "1310020508637620352391208095712502073964245732475093456566329", '
+           '"seed": "1310020508637620352391208095712502073964245732475093456566329"}'),
+]
+
+
+class TestRecordGolden:
+    @pytest.mark.parametrize("value, line", _GOLDEN_LINES)
+    def test_line_is_byte_exact(self, value, line):
+        r = BenchRecord(
+            n_bits=330,
+            gap=value,
+            method="xscan",
+            iterations=7 if value is None else value,
+            elapsed_ns=1234 if value is None else value,
+            outcome="budget_exhausted",
+            seed=value,
+            predicted_iterations=value,
+        )
+        assert record_to_json(r) == line
+        assert record_from_json(line) == r
+
+    def test_missing_required_key_raises(self):
+        line = '{"n_bits": 8, "gap": "6", "method": "fermat", "elapsed_ns": 10, "outcome": "found"}'
+        with pytest.raises(KeyError, match="iterations"):
+            record_from_json(line)
+
+
 class TestRunStudy:
     def test_ladder_order_and_identities(self):
         records = run_study(bits=32, gaps=[16, 256], seed=0)
@@ -301,6 +353,28 @@ class TestSummaryFormats:
             "gap", "n_bits", "runs", "median_iter", "analytic", "ratio", "median_ns",
         ]
         assert len({len(ln) for ln in lines}) == 1  # right-aligned columns
+
+    def test_golden_table(self):
+        rows = [
+            SummaryRow(0, 24, 1, 0.0, 0.0, None, 1234.0),
+            SummaryRow(8, 24, 2, 2.5, analytic_iterations(8, 24),
+                       2.5 / analytic_iterations(8, 24), 56789.5),
+            SummaryRow(2**40, 200, 3, 123456789.0, analytic_iterations(2**40, 200),
+                       123456789.0 / analytic_iterations(2**40, 200), 1.5e9),
+        ]
+        table = SummaryTable(rows=rows)
+        assert table.as_csv() == (
+            "gap,n_bits,runs,median_iterations,analytic_iterations,ratio,median_elapsed_ns\n"
+            "0,24,1,0,0,,1234\n"
+            "8,24,2,2.5,0.00232267,1076.35,56789.5\n"
+            "1099511627776,200,3,1.23457e+08,1.41765e-07,8.70858e+14,1.5e+09\n"
+        )
+        assert table.as_text() == (
+            "          gap  n_bits  runs  median_iter     analytic     ratio  median_ns\n"
+            "            0      24     1            0            0         -       1234\n"
+            "            8      24     2          2.5   0.00232267  1.08e+03    56789.5\n"
+            "1099511627776     200     3  1.23457e+08  1.41765e-07  8.71e+14    1.5e+09\n"
+        )
 
 
 class TestAnalyticCurve:

@@ -294,6 +294,25 @@ class TestGenerateCommand:
         seeds = [json.loads(ln)["seed"] for ln in out.splitlines()]
         assert seeds == [str(2**64 - 1), "0"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_start_seed_outside_64_bits_rejected(self, capsys, seed, as_json):
+        argv = ["generate", "--bits", "16", "--max-gap", "64", "--seed", seed]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 1
+        if as_json:
+            assert (json.loads(out), err) == ({"error": "seed must fit in 64 bits"}, "")
+        else:
+            assert (out, err) == ("", "error: seed must fit in 64 bits\n")
+
+    def test_negative_count_rejected(self, capsys):
+        argv = ["generate", "--bits", "16", "--max-gap", "64", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--count", "-3") == (
+            1, "", "error: count must be >= 0, got -3\n"
+        )
+        assert run_cli(capsys, *argv, "--count", "0") == (0, "", "")
+        assert run_cli(capsys, *argv, "--count", "0", "--json") == (0, "[]\n", "")
+
     def test_json_array(self, capsys):
         code, out, _ = run_cli(
             capsys, "generate", "--bits", "16", "--max-gap", "64",

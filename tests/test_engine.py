@@ -398,6 +398,18 @@ class TestXScan:
             assert xscan_factor(n, Budget(max_iterations=3000)) == _plain_xscan(n, 0, 3000)
 
 
+class TestResumeStateType:
+    def test_y_walk_rejects_an_x_walk_state(self):
+        state = xscan_factor(10403, Budget(max_iterations=0)).resume
+        with pytest.raises(ValueError, match="resume_fermat needs a SearchState, got XScanState"):
+            resume_fermat(state)
+
+    def test_x_walk_rejects_a_y_walk_state(self):
+        state = fermat_factor(10403, Budget(max_iterations=0)).resume
+        with pytest.raises(ValueError, match="resume_xscan needs an XScanState, got SearchState"):
+            resume_xscan(state)
+
+
 class TestCheckpoints:
     def test_round_trip_y_walk(self):
         state = fermat_factor(5959, Budget(max_iterations=1)).resume
