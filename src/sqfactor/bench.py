@@ -30,14 +30,8 @@ from .engine import (
     fermat_factor,
     xscan_factor,
 )
-from .numeric import ceil_sqrt
-from .semiprimes import (
-    MAX_ATTEMPTS,
-    FeasibilityError,
-    generate_in_window,
-    ladder_windows,
-    rung_seeds,
-)
+from .numeric import ceil_sqrt, str_to_int
+from .semiprimes import FeasibilityError, generate_in_window, ladder_windows, rung_seeds
 
 METHODS = ("fermat", "xscan")
 
@@ -80,12 +74,23 @@ def record_to_json(record: BenchRecord) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _int_field(name: str, value) -> int:
+    if isinstance(value, str):
+        return str_to_int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an int or a decimal string, got {value!r:.40}")
+
+
 def record_from_json(line: str) -> BenchRecord:
+    """Inverse of record_to_json; an int field is an int or a decimal string
+    (a float or a boolean raises ValueError rather than being truncated)."""
     obj = json.loads(line)
     values = {}
     for name, limit, optional in _FIELDS:
         value = obj.get(name) if optional else obj[name]
-        values[name] = value if limit is None or (value is None and optional) else int(value)
+        skip = limit is None or (value is None and optional)
+        values[name] = value if skip else _int_field(name, value)
     return BenchRecord(**values)
 
 
@@ -141,7 +146,6 @@ def run_study(
     methods: Sequence[str] = METHODS,
     sink: Optional[IO[str]] = None,
     workers: int = 1,
-    attempts: int = MAX_ATTEMPTS,
 ) -> List[BenchRecord]:
     """Generate a gap ladder and measure every (semiprime, method) cell.
 
@@ -161,7 +165,7 @@ def run_study(
         rung_seeds(seed, len(gaps)), ladder_windows(gaps)
     ):
         try:
-            sp = generate_in_window(bits, lo, hi, rung_seed, attempts)
+            sp = generate_in_window(bits, lo, hi, rung_seed)
         except FeasibilityError as exc:
             warnings.warn(f"skipping gap window [{lo}, {hi}]: {exc}")
             continue
@@ -238,17 +242,19 @@ def analytic_iterations(gap: int, n_bits: int) -> float:
     return 2.0 ** (2 * math.log2(gap) - 3 - (n_bits - 0.5) / 2)
 
 
-def scaling_summary(records: Sequence[BenchRecord], method: str = "fermat") -> SummaryTable:
-    """Per-gap medians against the analytic curve, for one method.
+def scaling_summary(records: Sequence[BenchRecord]) -> SummaryTable:
+    """Per-gap medians of the fermat (y-walk) records against the analytic curve.
 
-    Uses found outcomes only; budget-exhausted runs carry no completed
+    The curve gap**2 / (8 * sqrt(n)) is the y-walk's cost; the x-walk
+    takes (q - p) / 2 candidates, so its records are ignored.  Uses
+    found outcomes only; budget-exhausted runs carry no completed
     iteration count and would poison the medians.
     """
     if not records:
         raise ValueError("no records to summarize")
-    mine = [r for r in records if r.method == method]
+    mine = [r for r in records if r.method == "fermat"]
     if not mine:
-        raise ValueError(f"no records for method {method!r}")
+        raise ValueError("no records for method 'fermat'")
     found = [r for r in mine if r.outcome == "found" and r.gap is not None]
     if not found:
         raise ValueError(

@@ -29,6 +29,7 @@ from .engine import (
     resume_xscan,
     xscan_factor,
 )
+from .numeric import str_to_int
 from .semiprimes import FeasibilityError, SemiprimeSpec, generate
 
 DEFAULT_MAX_ITERATIONS = 10**8  # library default is unlimited; the CLI is not
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _no_int_str_limit():
     """Lift CPython's int/str conversion limit (4300 digits since 3.11)
-    for the block: moduli, factors and checkpoints may exceed it."""
+    for the block: the moduli and factors it prints may exceed it."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
@@ -66,8 +67,8 @@ def _no_int_str_limit():
 def parse_modulus(text: str) -> int:
     s = text.strip()
     try:
-        with _no_int_str_limit():
-            value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
+        # a power-of-two base is exempt from the int/str limit; decimal is not
+        value = int(s, 16) if s[:2].lower() == "0x" else str_to_int(s)
     except (ValueError, IndexError):
         shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
         raise ValueError(f"modulus {shown} is not a decimal or 0x-hex integer")

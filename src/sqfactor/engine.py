@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .numeric import SQUARE_RESIDUES, ceil_sqrt, is_perfect_square
+from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, str_to_int
 
 __all__ = [
     "Budget",
@@ -219,20 +219,21 @@ def step(state: SearchState) -> SearchState:
 # --- checkpoint serialization ------------------------------------------------
 
 def checkpoint_line(state: Union[SearchState, XScanState]) -> str:
-    """One-line key=value form; decimal, reload-exact."""
+    """One-line key=value form; decimal at any width, reload-exact."""
+    n, y0 = int_to_str(state.n), int_to_str(state.y0)
     if isinstance(state, SearchState):
-        return f"n={state.n} y0={state.y0} k={state.k}"
-    return f"n={state.n} y0={state.y0} x={state.x}"
+        return f"n={n} y0={y0} k={int_to_str(state.k)}"
+    return f"n={n} y0={y0} x={int_to_str(state.x)}"
 
 
 def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
     fields = {}
     for token in line.split():
         key, sep, value = token.partition("=")
-        digits = value.lstrip("-")
+        digits = value[1:] if value[:1] == "-" else value
         if not sep or not (digits.isascii() and digits.isdigit()) or key in fields:
             raise ValueError(f"malformed checkpoint token {token!r}")
-        fields[key] = int(value)
+        fields[key] = str_to_int(value)
     keys = set(fields)
     if keys == {"n", "y0", "k"}:
         return _y_state(fields["n"], fields["y0"], fields["k"])
@@ -428,9 +429,5 @@ def normalize_input(n: int) -> NormalizedInput:
     """Strip all factors of two from n >= 2."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {_shown(n)}")
-    twos = 0
-    residual = n
-    while residual % 2 == 0:
-        residual //= 2
-        twos += 1
-    return NormalizedInput(two_exponent=twos, residual=residual)
+    twos = (n & -n).bit_length() - 1  # n & -n is the lowest set bit of n
+    return NormalizedInput(two_exponent=twos, residual=n >> twos)

@@ -1,6 +1,6 @@
 """Arbitrary-precision integer primitives: integer square roots, exact
-perfect-square detection with a residue pre-filter, and Miller-Rabin
-primality testing.
+perfect-square detection with a residue pre-filter, Miller-Rabin
+primality testing, and decimal conversion of any width.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
@@ -18,10 +18,15 @@ The square detector is split in two layers:
   exact integer square root.
 
 ``floor_sqrt`` and ``ceil_sqrt`` are ``math.isqrt`` and its ceiling.
+
+``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
+without CPython's 4300-digit int/str limit: ``decimal.Decimal`` converts
+exactly and is exempt, so no caller lifts the process-wide limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from typing import NamedTuple, Optional
@@ -44,6 +49,32 @@ def ceil_sqrt(n: int) -> int:
     """
     r = math.isqrt(n)
     return r if r * r == n else r + 1
+
+
+def int_to_str(n: int) -> str:
+    """``str(n)`` for an int of any width.
+
+    >>> int_to_str(-187)
+    '-187'
+    """
+    return str(decimal.Decimal(n))
+
+
+def str_to_int(text: str) -> int:
+    """``int(text, 10)`` for a string of any length: the same syntax
+    (surrounding whitespace, a sign, single underscores between digits,
+    any Unicode decimal digits), and ValueError for anything else.
+
+    >>> str_to_int(" +1_87 ")
+    187
+    """
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    # "".isdecimal() is False: a bare sign or an empty, leading, trailing or
+    # doubled underscore fails, as do the point, exponent, nan and inf Decimal takes
+    if not all(group.isdecimal() for group in digits.split("_")):
+        raise ValueError(f"not a decimal integer: {text!r:.40}")
+    return int(decimal.Decimal(s.replace("_", "")))
 
 
 class SquareTestResult(NamedTuple):
@@ -98,6 +129,8 @@ def is_perfect_square(n: int) -> SquareTestResult:
 # for the first 13 primes, 3.317e24).
 _DETERMINISTIC_BOUND = 3317044064679887385961981
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# random witnesses per test above the bound: error at most 4**-24 per composite
+_RANDOM_ROUNDS = 24
 
 
 def _mr_witness_passes(n: int, d: int, r: int, a: int) -> bool:
@@ -112,17 +145,15 @@ def _mr_witness_passes(n: int, d: int, r: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 24, rng=random) -> bool:
+def is_probable_prime(n: int, rng=random) -> bool:
     """Miller-Rabin primality test.
 
     Exact (deterministic witness set) for n below about 3.3e24.  Beyond
-    that, ``rounds`` random witnesses give an error probability of at
-    most 4**-rounds for composite n.  ``rng`` only needs a ``randrange``
+    that, a fixed 24 random witnesses give an error probability of at
+    most 4**-24 for composite n.  ``rng`` only needs a ``randrange``
     method and is consulted only above the deterministic bound, so
     results below it never depend on it.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -135,7 +166,7 @@ def is_probable_prime(n: int, rounds: int = 24, rng=random) -> bool:
     if n < _DETERMINISTIC_BOUND:
         witnesses = [a for a in _DETERMINISTIC_WITNESSES if a % n != 0]
     else:
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        witnesses = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
     for a in witnesses:
         if not _mr_witness_passes(n, d, r, a):
             return False

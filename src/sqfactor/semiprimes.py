@@ -15,10 +15,12 @@ scrambled by two xor-shift-multiply rounds with multipliers
 
 Generation strategy: draw a random odd starting point with bits/2
 (rounded up) bits, walk upward to the next probable prime p, then scan
-for a prime q with q - p inside the requested gap window.  A failed
-window scan restarts with fresh randomness; a bounded number of
-restarts (MAX_ATTEMPTS) turns structurally impossible requests, such as
-an odd gap between odd primes, into FeasibilityError instead of a hang.
+for a prime q with q - p inside the requested gap window.  Parity is
+decided up front: p and q are odd, so q - p is even, and a window with
+no even gap (such as [1, 1] or [3, 3]) raises FeasibilityError before
+any draw.  A failed window scan restarts with fresh randomness, and
+MAX_ATTEMPTS restarts bound the rest, such as a window whose smallest
+gap makes n too wide, so no request hangs.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class SplitMix64:
 
 
 class FeasibilityError(Exception):
-    """No qualifying prime pair found within the attempt bound."""
+    """The gap window holds no even gap, or no qualifying prime pair was
+    found within MAX_ATTEMPTS restarts."""
 
 
 @dataclass(frozen=True)
@@ -125,27 +128,33 @@ def _first_prime(lo: int, hi: int, rng: SplitMix64) -> Optional[int]:
     return None
 
 
-def generate_in_window(
-    bits: int, gap_lo: int, gap_hi: int, seed: int, attempts: int = MAX_ATTEMPTS
-) -> GeneratedSemiprime:
+def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> GeneratedSemiprime:
     """Semiprime of roughly `bits` bits whose gap q - p lies in [gap_lo, gap_hi].
 
     gap_lo = gap_hi = 0 requests p = q (a squared prime).  Deterministic
-    per seed.  Raises FeasibilityError when `attempts` restart rounds
-    cannot satisfy the request.
+    per seed.  Raises FeasibilityError at once when the window holds no
+    even gap above 0 (p and q are odd), and when MAX_ATTEMPTS restart
+    rounds cannot satisfy the request.
     """
     if bits < 4:
         raise ValueError("bits must be >= 4")
     if not 0 <= gap_lo <= gap_hi:
         raise ValueError("need 0 <= gap_lo <= gap_hi")
+    lowest = max(gap_lo, 1)
+    if gap_hi > 0 and lowest + lowest % 2 > gap_hi:
+        raise FeasibilityError(
+            f"no {bits}-bit semiprime with gap in [{gap_lo}, {gap_hi}]: p and q "
+            "are odd primes, so a gap q - p > 0 is even, and the window holds no "
+            "even gap above 0"
+        )
     rng = SplitMix64(seed)
     half = (bits + 1) // 2
-    for _ in range(attempts):
+    for _ in range(MAX_ATTEMPTS):
         start = (1 << (half - 1)) | rng.bits(half - 1) | 1
         p = _first_prime(start, start + 2 * _WALK_LIMIT - 1, rng)
         if p is None:
             continue
-        q = p if gap_hi == 0 else _first_prime(p + max(gap_lo, 1), p + gap_hi, rng)
+        q = p if gap_hi == 0 else _first_prime(p + lowest, p + gap_hi, rng)
         if q is None:
             continue
         n = p * q
@@ -154,14 +163,14 @@ def generate_in_window(
         return GeneratedSemiprime(p=p, q=q, n=n, gap=q - p, bits=bits, seed=seed)
     raise FeasibilityError(
         f"no {bits}-bit semiprime with gap in [{gap_lo}, {gap_hi}] "
-        f"after {attempts} attempts"
+        f"after {MAX_ATTEMPTS} attempts"
     )
 
 
-def generate(spec: SemiprimeSpec, attempts: int = MAX_ATTEMPTS) -> GeneratedSemiprime:
+def generate(spec: SemiprimeSpec) -> GeneratedSemiprime:
     """One semiprime of the requested shape; gap up to spec.max_gap, seed-deterministic."""
     lo = 0 if spec.max_gap == 0 else 1
-    return generate_in_window(spec.bits, lo, spec.max_gap, spec.seed, attempts)
+    return generate_in_window(spec.bits, lo, spec.max_gap, spec.seed)
 
 
 def ladder_windows(gaps: Sequence[int]) -> List[Tuple[int, int]]:
@@ -189,14 +198,12 @@ def rung_seeds(seed: int, count: int) -> List[int]:
     return [master.next_word() for _ in range(count)]
 
 
-def gap_ladder(
-    bits: int, gaps: Sequence[int], seed: int, attempts: int = MAX_ATTEMPTS
-) -> List[GeneratedSemiprime]:
+def gap_ladder(bits: int, gaps: Sequence[int], seed: int) -> List[GeneratedSemiprime]:
     """One semiprime per gap bound, actual gaps confined to disjoint
     ascending windows, so the ladder's gaps strictly increase.
     """
     windows = ladder_windows(gaps)
     out = []
     for rung_seed, (lo, hi) in zip(rung_seeds(seed, len(windows)), windows):
-        out.append(generate_in_window(bits, lo, hi, rung_seed, attempts))
+        out.append(generate_in_window(bits, lo, hi, rung_seed))
     return out

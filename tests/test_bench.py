@@ -120,6 +120,22 @@ class TestRecordJson:
         assert a.iterations == 0
         assert a.seed is None
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"n_bits": 8.9, "iterations": 7.5, "elapsed_ns": true',
+            '"n_bits": 8.0, "iterations": 7, "elapsed_ns": 10',
+            '"n_bits": 8, "iterations": 7, "elapsed_ns": false',
+            '"n_bits": 8, "iterations": "7.5", "elapsed_ns": 10',
+            '"n_bits": 8, "iterations": 7, "elapsed_ns": 10, "seed": 1.5',
+            '"n_bits": 8, "iterations": 7, "elapsed_ns": 10, "seed": [1]',
+        ],
+    )
+    def test_reader_rejects_non_int_counts(self, fields):
+        line = '{"gap": "6", "method": "fermat", "outcome": "found", ' + fields + "}"
+        with pytest.raises(ValueError):
+            record_from_json(line)
+
 
 _BIG = 3**126  # a 200-bit count
 
@@ -203,8 +219,7 @@ class TestRunStudy:
         for workers in (1, 2):
             with pytest.warns(UserWarning, match=r"\[3, 3\]"):
                 records = run_study(
-                    bits=16, gaps=[2, 3, 4], seed=0, methods=("fermat",), attempts=200,
-                    workers=workers,
+                    bits=16, gaps=[2, 3, 4], seed=0, methods=("fermat",), workers=workers,
                 )
             assert len(records) == 2
             assert records[0].gap in (1, 2)
@@ -213,7 +228,7 @@ class TestRunStudy:
             sink = io.StringIO()
             with pytest.warns(UserWarning, match=r"\[1, 1\]"):
                 assert run_study(
-                    bits=16, gaps=[1], seed=0, sink=sink, attempts=50, workers=workers
+                    bits=16, gaps=[1], seed=0, sink=sink, workers=workers
                 ) == []
             assert sink.getvalue() == ""
 
@@ -293,7 +308,7 @@ class TestScalingSummary:
             _rec(256, 50),
             _rec(16, 10**9, method="xscan"),
         ]
-        table = scaling_summary(records, method="fermat")
+        table = scaling_summary(records)
         assert [r.median_iterations for r in table.rows] == [5.0, 50.0]
 
     def test_empty_input_rejected(self):
@@ -302,7 +317,7 @@ class TestScalingSummary:
 
     def test_missing_method_rejected(self):
         with pytest.raises(ValueError, match="no records for method"):
-            scaling_summary([_rec(16, 5)], method="xscan")
+            scaling_summary([_rec(16, 5, method="xscan")])
 
     def test_exhausted_only_rejected(self):
         records = [

@@ -280,6 +280,15 @@ class TestGenerateCommand:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         assert f"$ sqfactor {argv}\n{expected}" in readme
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_odd_gap_window_fails_at_once(self, capsys, as_json):
+        argv = ["generate", "--bits", "64", "--max-gap", "1", "--seed", "0"]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 1
+        message = json.loads(out)["error"] if as_json else err
+        assert "gap in [1, 1]" in message
+        assert "q - p > 0 is even" in message
+
     def test_deterministic_stdout(self, capsys):
         args = ("generate", "--bits", "24", "--max-gap", "256", "--seed", "7",
                 "--count", "4")
@@ -352,6 +361,20 @@ class TestBenchCommand:
             "gap,n_bits,runs,median_iterations,analytic_iterations,ratio,median_elapsed_ns"
         )
         assert "median_iter" in out  # aligned table on stdout
+
+    def test_odd_gap_rung_is_skipped_with_a_warning(self, capsys, tmp_path):
+        out_path = tmp_path / "records.jsonl"
+        with pytest.warns(UserWarning, match=r"skipping gap window \[1, 1\]"):
+            code, out, _ = run_cli(
+                capsys, "bench", "--bits", "64", "--gaps", "1,16,256", "--seed", "0",
+                "--out", str(out_path),
+            )
+        assert code == 0
+        records = [record_from_json(ln) for ln in out_path.read_text().splitlines()]
+        assert out.splitlines()[0] == f"wrote {len(records)} records to {out_path}"
+        assert [(r.method, 1 < r.gap <= 256) for r in records] == [
+            ("fermat", True), ("xscan", True), ("fermat", True), ("xscan", True)
+        ]
 
     def test_single_gap_skips_summary(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
@@ -498,6 +521,23 @@ class TestParseModulus:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             parse_modulus("-7")
+
+    @pytest.mark.parametrize(
+        "text", ["1_87", "+187", "0187", " \u0661\u0668\u0667\n", "\uff11\uff18\uff17", "1_8_7"]
+    )
+    def test_decimal_syntax_is_that_of_int(self, text):
+        assert parse_modulus(text) == int(text, 10) == 187
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1.0", "1e3", "1E0", "nan", "inf", "-inf", "Infinity", "sNaN", "1__87", "_187",
+         "187_", "+_187", "+ 187", "--187", "0x_", "1 87"],
+    )
+    def test_rejects_what_int_rejects(self, bad):
+        with pytest.raises(ValueError):
+            int(bad, 10)
+        with pytest.raises(ValueError, match="is not a decimal or 0x-hex integer"):
+            parse_modulus(bad)
 
 
 def test_module_entry_point():

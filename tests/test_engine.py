@@ -455,6 +455,27 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             parse_checkpoint(line)
 
+    @pytest.mark.parametrize("k", ["--5", "+5", "1_0", " 5"])
+    def test_only_plain_decimal_tokens(self, k):
+        # int() would take the last three; a checkpoint token is [-]ascii digits
+        with pytest.raises(ValueError, match="malformed checkpoint token"):
+            parse_checkpoint(f"n=187 y0=14 k={k}")
+
+    def test_wide_round_trip_under_the_default_int_str_limit(self):
+        state = fermat_factor((2**16000 + 1) ** 2, Budget(max_iterations=0)).resume
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            line = checkpoint_line(state)
+            assert parse_checkpoint(line) == state
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        n_token, y0_token, k_token = line.split()
+        assert len(n_token) == len("n=") + 9633
+        assert k_token == "k=0"
+
 
 class TestNormalizeInput:
     def test_reference_values(self):
@@ -477,6 +498,9 @@ class TestNormalizeInput:
         out = normalize_input(n)
         assert out.residual % 2 == 1
         assert (1 << out.two_exponent) * out.residual == n
+
+    def test_wide_power_of_two_factor(self):
+        assert normalize_input(3 * 2**200000) == NormalizedInput(two_exponent=200000, residual=3)
 
     def test_rejects_below_two(self):
         for bad in (1, 0, -6):

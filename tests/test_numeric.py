@@ -161,10 +161,6 @@ class TestIsProbablePrime:
         assert not is_probable_prime(p * p)
         assert not is_probable_prime(p * 18446744073709551653)
 
-    def test_rounds_validation(self):
-        with pytest.raises(ValueError):
-            is_probable_prime(11, rounds=0)
-
     def test_deterministic_region_ignores_rng(self):
         class Boom:
             def randrange(self, a, b):

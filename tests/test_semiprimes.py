@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfactor import semiprimes
 from sqfactor.engine import Found, fermat_factor
 from sqfactor.numeric import ceil_sqrt
 from sqfactor.semiprimes import (
@@ -158,11 +159,15 @@ class TestGenerateInWindow:
         # never contain a prime and every attempt fails
         for lo_hi in ((1, 1), (3, 3)):
             with pytest.raises(FeasibilityError):
-                generate_in_window(16, *lo_hi, seed=0, attempts=200)
+                generate_in_window(16, *lo_hi, seed=0)
 
-    def test_attempt_budget_in_message(self):
-        with pytest.raises(FeasibilityError, match="200"):
-            generate_in_window(16, 1, 1, seed=0, attempts=200)
+    def test_parity_is_decided_before_any_primality_test(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("is_probable_prime was called")
+
+        monkeypatch.setattr(semiprimes, "is_probable_prime", never)
+        with pytest.raises(FeasibilityError, match=r"\[1, 1\].*q - p > 0 is even"):
+            generate_in_window(16, 1, 1, seed=0)
 
 
 class TestLadder:
