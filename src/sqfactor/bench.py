@@ -30,13 +30,10 @@ from .engine import (
     fermat_factor,
     xscan_factor,
 )
-from .numeric import ceil_sqrt, str_to_int
+from .numeric import ceil_sqrt, int_to_str, json_int, shown, str_to_int
 from .semiprimes import FeasibilityError, generate_in_window, ladder_windows, rung_seeds
 
 METHODS = ("fermat", "xscan")
-
-# JSON numbers above this lose integer precision in double-based parsers
-_SAFE_JSON_INT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -51,13 +48,13 @@ class BenchRecord:
     predicted_iterations: Optional[int] = None  # (p+q)/2 - ceil_sqrt(n) when p, q known
 
 
-# An int field is written as a decimal string from this magnitude on: gap
-# and seed are labels, always strings; counts only where a double is inexact
-_STRING_FROM = {"gap": 0, "seed": 0}
+# gap and seed are labels, always decimal strings; counts are JSON numbers
+# only where a double holds them exactly
+_LABELS = ("gap", "seed")
 _HINTS = get_type_hints(BenchRecord)
-# (name, string magnitude or None for a str field, optional) in declaration order
+# (name, int-to-JSON conversion or None for a str field, optional) in declaration order
 _FIELDS = tuple(
-    (f.name, None if _HINTS[f.name] is str else _STRING_FROM.get(f.name, _SAFE_JSON_INT),
+    (f.name, None if _HINTS[f.name] is str else int_to_str if f.name in _LABELS else json_int,
      type(None) in get_args(_HINTS[f.name]))
     for f in fields(BenchRecord)
 )
@@ -66,11 +63,9 @@ _FIELDS = tuple(
 def record_to_json(record: BenchRecord) -> str:
     """One JSONL line; decimal strings for gap, seed, and oversize counts."""
     obj = {}
-    for name, limit, _ in _FIELDS:
+    for name, convert, _ in _FIELDS:
         value = getattr(record, name)
-        if limit is not None and value is not None and abs(value) >= limit:
-            value = str(value)
-        obj[name] = value
+        obj[name] = value if convert is None or value is None else convert(value)
     return json.dumps(obj, sort_keys=True)
 
 
@@ -79,7 +74,7 @@ def _int_field(name: str, value) -> int:
         return str_to_int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"{name} must be an int or a decimal string, got {value!r:.40}")
+    raise ValueError(f"{name} must be an int or a decimal string, got {shown(value)}")
 
 
 def record_from_json(line: str) -> BenchRecord:
@@ -87,9 +82,9 @@ def record_from_json(line: str) -> BenchRecord:
     (a float or a boolean raises ValueError rather than being truncated)."""
     obj = json.loads(line)
     values = {}
-    for name, limit, optional in _FIELDS:
+    for name, convert, optional in _FIELDS:
         value = obj.get(name) if optional else obj[name]
-        skip = limit is None or (value is None and optional)
+        skip = convert is None or (value is None and optional)
         values[name] = value if skip else _int_field(name, value)
     return BenchRecord(**values)
 
@@ -113,7 +108,7 @@ def measure(
     exhausts its budget.  A found outcome fills them from the result.
     """
     if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        raise ValueError(f"method must be one of {METHODS}, got {shown(method)}")
     run = fermat_factor if method == "fermat" else xscan_factor
     t0 = time.perf_counter_ns()
     outcome = run(n, budget)
@@ -159,7 +154,7 @@ def run_study(
         raise ValueError("methods must be nonempty")
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
+            raise ValueError(f"unknown method {shown(m)}")
     cells = []
     for rung_seed, (lo, hi) in zip(
         rung_seeds(seed, len(gaps)), ladder_windows(gaps)
@@ -167,7 +162,7 @@ def run_study(
         try:
             sp = generate_in_window(bits, lo, hi, rung_seed)
         except FeasibilityError as exc:
-            warnings.warn(f"skipping gap window [{lo}, {hi}]: {exc}")
+            warnings.warn(f"skipping gap window [{shown(lo)}, {shown(hi)}]: {exc}")
             continue
         cells.extend((sp, method, budget) for method in methods)
 

@@ -29,7 +29,7 @@ from .engine import (
     resume_xscan,
     xscan_factor,
 )
-from .numeric import str_to_int
+from .numeric import int_to_str, json_int, shown, str_to_int
 from .semiprimes import FeasibilityError, SemiprimeSpec, generate
 
 DEFAULT_MAX_ITERATIONS = 10**8  # library default is unlimited; the CLI is not
@@ -50,31 +50,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@contextlib.contextmanager
-def _no_int_str_limit():
-    """Lift CPython's int/str conversion limit (4300 digits since 3.11)
-    for the block: the moduli and factors it prints may exceed it."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-
-
 def parse_modulus(text: str) -> int:
     s = text.strip()
     try:
         # a power-of-two base is exempt from the int/str limit; decimal is not
         value = int(s, 16) if s[:2].lower() == "0x" else str_to_int(s)
     except (ValueError, IndexError):
-        shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
-        raise ValueError(f"modulus {shown} is not a decimal or 0x-hex integer")
+        raise ValueError(f"modulus {shown(text)} is not a decimal or 0x-hex integer")
     if value < 0:
         raise ValueError("modulus must be nonnegative")
     return value
+
+
+def _int_arg(text: str) -> int:
+    try:
+        return str_to_int(text)  # any width, where int() stops at 4300 digits
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
 
 
 def _budget_from(args) -> Budget:
@@ -104,18 +96,18 @@ def _load_checkpoint(path: str):
         raise ValueError(f"cannot read checkpoint file: {exc}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"checkpoint file {path!r} is empty")
+        raise ValueError(f"checkpoint file {shown(path)} is empty")
     return parse_checkpoint(lines[-1])  # last line wins, files are appendable
 
 
 def _split_result(n: int, norm, method: str, outcome) -> tuple[dict, int]:
     """The result document of one split, in output key order, and its exit code."""
-    doc = {"n": str(n), "twos": norm.two_exponent, "method": method}
+    doc = {"n": int_to_str(n), "twos": norm.two_exponent, "method": method}
     if isinstance(outcome, BudgetExhausted):
         line = checkpoint_line(outcome.resume)
         doc.update(
             outcome="budget_exhausted",
-            iterations=outcome.iterations,
+            iterations=json_int(outcome.iterations),
             checkpoint=line,
             resume=dict(token.split("=") for token in line.split()),
         )
@@ -124,20 +116,20 @@ def _split_result(n: int, norm, method: str, outcome) -> tuple[dict, int]:
     if isinstance(outcome, Found):
         doc.update(
             outcome="found",
-            p=str(outcome.p),
-            q=str(outcome.q),
-            k=outcome.k,
-            iterations=outcome.iterations,
+            p=int_to_str(outcome.p),
+            q=int_to_str(outcome.q),
+            k=json_int(outcome.k),
+            iterations=json_int(outcome.iterations),
         )
         factors += [outcome.p, outcome.q]
     else:
         if not norm.is_fully_factored:
             factors.append(norm.residual)  # the walk found the odd residual prime
         if len(factors) < 2:  # n itself is prime
-            doc.update(outcome="no_factor", iterations=outcome.iterations, factors=None)
+            doc.update(outcome="no_factor", iterations=json_int(outcome.iterations), factors=None)
             return doc, _EXIT_NO_FACTOR
-        doc.update(outcome="complete", iterations=outcome.iterations)
-    doc["factors"] = [str(f) for f in factors]
+        doc.update(outcome="complete", iterations=json_int(outcome.iterations))
+    doc["factors"] = [int_to_str(f) for f in factors]
     return doc, _EXIT_OK
 
 
@@ -169,7 +161,8 @@ def _run_split(args) -> int:
             raise ValueError(f"checkpoint is for the {kind}; wrong subcommand")
         if state.n != norm.residual:
             raise ValueError(
-                f"checkpoint is for modulus {state.n}, but {n} normalizes to {norm.residual}"
+                f"checkpoint is for modulus {shown(state.n)}, but {shown(n)} normalizes "
+                f"to {shown(norm.residual)}"
             )
 
     if norm.is_fully_factored:
@@ -199,7 +192,7 @@ def _cmd_generate(args) -> int:
     if not 0 <= args.seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")  # only the --count advance wraps
     if args.count < 0:
-        raise ValueError(f"count must be >= 0, got {args.count}")
+        raise ValueError(f"count must be >= 0, got {shown(args.count)}")
     items = []
     for i in range(args.count):
         spec = SemiprimeSpec(
@@ -270,9 +263,9 @@ def _cmd_bench(args) -> int:
 
 def _parse_gaps(text: str) -> List[int]:
     try:
-        gaps = [int(part, 10) for part in text.split(",") if part != ""]
+        gaps = [str_to_int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"gaps {text!r} must be comma-separated integers")
+        raise ValueError(f"gaps {shown(text)} must be comma-separated integers")
     if not gaps:
         raise ValueError("gaps list is empty")
     return gaps
@@ -280,10 +273,7 @@ def _parse_gaps(text: str) -> List[int]:
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--max-iterations",
-        type=int,
-        default=None,
-        metavar="M",
+        "--max-iterations", type=_int_arg, default=None, metavar="M",
         help=f"candidate budget for this run (default {DEFAULT_MAX_ITERATIONS:_})",
     )
     sub.add_argument(
@@ -315,26 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
         p_split.set_defaults(handler=_run_split, method=method)
 
     p_gen = subs.add_parser("generate", help="deterministic test semiprimes")
-    p_gen.add_argument("--bits", type=int, required=True)
-    p_gen.add_argument("--max-gap", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--bits", type=_int_arg, required=True)
+    p_gen.add_argument("--max-gap", type=_int_arg, required=True)
+    p_gen.add_argument("--seed", type=_int_arg, required=True)
     p_gen.add_argument(
-        "--count", type=int, default=1,
+        "--count", type=_int_arg, default=1,
         help="emit this many, advancing the seed by one each time",
     )
     p_gen.add_argument("--json", action="store_true", help="emit one JSON array")
     p_gen.set_defaults(handler=_cmd_generate)
 
     p_bench = subs.add_parser("bench", help="gap-ladder iteration study")
-    p_bench.add_argument("--bits", type=int, required=True)
+    p_bench.add_argument("--bits", type=_int_arg, required=True)
     p_bench.add_argument("--gaps", required=True, help="comma-separated gap bounds")
-    p_bench.add_argument("--seed", type=int, required=True)
+    p_bench.add_argument("--seed", type=_int_arg, required=True)
     p_bench.add_argument(
         "--methods", default="fermat,xscan", help="subset of fermat,xscan"
     )
     p_bench.add_argument("--out", required=True, metavar="FILE", help="JSONL sink")
     p_bench.add_argument("--summary-csv", default=None, metavar="FILE")
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_int_arg, default=1)
     _add_budget_flags(p_bench)
     p_bench.set_defaults(handler=_cmd_bench)
     return parser
@@ -342,19 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    with _no_int_str_limit():
-        try:
-            args = parser.parse_args(argv)
-            return args.handler(args)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        except BrokenPipeError:
-            raise  # stdout is gone, so there is nowhere to report it
-        except (ValueError, FeasibilityError, OSError) as exc:
-            return _fail(str(exc), getattr(args, "json", False))
-        except KeyboardInterrupt:
-            print("interrupted", file=sys.stderr)
-            return 130
+    try:
+        args = parser.parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except BrokenPipeError:
+        raise  # stdout is gone, so there is nowhere to report it
+    except (ValueError, FeasibilityError, OSError) as exc:
+        return _fail(str(exc), getattr(args, "json", False))
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

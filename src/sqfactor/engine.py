@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, str_to_int
+from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, shown, str_to_int
 
 __all__ = [
     "Budget",
@@ -80,27 +80,20 @@ _PROGRESS_INTERVAL = 1.0
 _SCREENS = tuple(SQUARE_RESIDUES[m] for m in (63, 65, 11))  # the kernel's 63/65/11 screens
 
 
-def _shown(value) -> str:
-    """repr of value; an int over 64 bits wide is described by its bit length."""
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
-    return repr(value)
-
-
 def _start_root(n: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("modulus must be an integer")
     if n < 3 or n % 2 == 0:
         raise ValueError(
             "modulus must be an odd integer >= 3; strip factors of two "
-            f"first (normalize_input), got {_shown(n)}"
+            f"first (normalize_input), got {shown(n)}"
         )
     return ceil_sqrt(n)
 
 
 def _require_count(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int, got {shown(value)}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
 
@@ -194,7 +187,7 @@ class Budget:
             or not isinstance(seconds, (int, float))
             or not 0 < seconds <= sys.float_info.max
         ):
-            raise ValueError(f"max_seconds must be finite and positive, got {_shown(seconds)}")
+            raise ValueError(f"max_seconds must be finite and positive, got {shown(seconds)}")
 
 
 def _y_state(n: int, y0: int, k: int) -> SearchState:
@@ -229,10 +222,11 @@ def checkpoint_line(state: Union[SearchState, XScanState]) -> str:
 def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
     fields = {}
     for token in line.split():
-        key, sep, value = token.partition("=")
+        key, _, value = token.partition("=")
         digits = value[1:] if value[:1] == "-" else value
-        if not sep or not (digits.isascii() and digits.isdigit()) or key in fields:
-            raise ValueError(f"malformed checkpoint token {token!r}")
+        plain = digits.isascii() and digits.isdigit()  # "" is not, so a token without "=" fails
+        if key not in ("n", "y0", "k", "x") or key in fields or not plain:
+            raise ValueError(f"malformed checkpoint token {shown(token)}")
         fields[key] = str_to_int(value)
     keys = set(fields)
     if keys == {"n", "y0", "k"}:
@@ -428,6 +422,6 @@ class NormalizedInput:
 def normalize_input(n: int) -> NormalizedInput:
     """Strip all factors of two from n >= 2."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {_shown(n)}")
+        raise ValueError(f"modulus must be an integer >= 2, got {shown(n)}")
     twos = (n & -n).bit_length() - 1  # n & -n is the lowest set bit of n
     return NormalizedInput(two_exponent=twos, residual=n >> twos)

@@ -21,7 +21,10 @@ The square detector is split in two layers:
 
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
 without CPython's 4300-digit int/str limit: ``decimal.Decimal`` converts
-exactly and is exempt, so no caller lifts the process-wide limit.
+exactly and is exempt, so no caller lifts the process-wide limit.  This
+module alone decides how an int becomes text: ``json_int`` is the form a
+count takes in a JSON document, and ``shown`` is how an error message
+quotes a value that came from outside.
 """
 
 from __future__ import annotations
@@ -73,8 +76,41 @@ def str_to_int(text: str) -> int:
     # "".isdecimal() is False: a bare sign or an empty, leading, trailing or
     # doubled underscore fails, as do the point, exponent, nan and inf Decimal takes
     if not all(group.isdecimal() for group in digits.split("_")):
-        raise ValueError(f"not a decimal integer: {text!r:.40}")
+        raise ValueError(f"not a decimal integer: {shown(text)}")
     return int(decimal.Decimal(s.replace("_", "")))
+
+
+def json_int(n: int):
+    """n itself below 2**53 in magnitude, where a double holds every int
+    exactly, and ``int_to_str(n)`` from there up.
+
+    >>> json_int(2**53 - 1)
+    9007199254740991
+    >>> json_int(-2**53)
+    '-9007199254740992'
+    """
+    return n if -(1 << 53) < n < 1 << 53 else int_to_str(n)
+
+
+def shown(value) -> str:
+    """How an error message quotes value: an int over 64 bits wide by its
+    bit length, a string over 40 characters by a 24-character prefix and
+    its length, and anything else by its repr, which the string rule
+    shortens in turn above 40 characters.
+
+    >>> shown(187)
+    '187'
+    >>> shown(-2**100)
+    'a negative 101-bit integer'
+    >>> shown("z" * 50)
+    "'zzzzzzzzzzzzzzzzzzzzzzzz'... (50 characters)"
+    """
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    return f"{text[:24]!r}... ({len(text)} characters)"
 
 
 class SquareTestResult(NamedTuple):

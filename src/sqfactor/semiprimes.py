@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from .numeric import is_probable_prime
+from .numeric import int_to_str, is_probable_prime, shown
 
 _MASK64 = (1 << 64) - 1
 
@@ -113,11 +113,7 @@ class GeneratedSemiprime:
     def as_json_dict(self) -> dict:
         # decimal strings throughout so arbitrary-width values survive
         # consumers that parse JSON numbers as doubles
-        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GeneratedSemiprime":
-        return cls(**{f.name: int(obj[f.name]) for f in fields(cls)})
+        return {f.name: int_to_str(getattr(self, f.name)) for f in fields(self)}
 
 
 def _first_prime(lo: int, hi: int, rng: SplitMix64) -> Optional[int]:
@@ -143,7 +139,7 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
     lowest = max(gap_lo, 1)
     if gap_hi > 0 and lowest + lowest % 2 > gap_hi:
         raise FeasibilityError(
-            f"no {bits}-bit semiprime with gap in [{gap_lo}, {gap_hi}]: p and q "
+            f"no {bits}-bit semiprime with gap in [{shown(gap_lo)}, {shown(gap_hi)}]: p and q "
             "are odd primes, so a gap q - p > 0 is even, and the window holds no "
             "even gap above 0"
         )
@@ -162,7 +158,7 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
             continue
         return GeneratedSemiprime(p=p, q=q, n=n, gap=q - p, bits=bits, seed=seed)
     raise FeasibilityError(
-        f"no {bits}-bit semiprime with gap in [{gap_lo}, {gap_hi}] "
+        f"no {bits}-bit semiprime with gap in [{shown(gap_lo)}, {shown(gap_hi)}] "
         f"after {MAX_ATTEMPTS} attempts"
     )
 
@@ -196,14 +192,3 @@ def rung_seeds(seed: int, count: int) -> List[int]:
     """Per-rung seeds: successive words of a splitmix stream over `seed`."""
     master = SplitMix64(seed)
     return [master.next_word() for _ in range(count)]
-
-
-def gap_ladder(bits: int, gaps: Sequence[int], seed: int) -> List[GeneratedSemiprime]:
-    """One semiprime per gap bound, actual gaps confined to disjoint
-    ascending windows, so the ladder's gaps strictly increase.
-    """
-    windows = ladder_windows(gaps)
-    out = []
-    for rung_seed, (lo, hi) in zip(rung_seeds(seed, len(windows)), windows):
-        out.append(generate_in_window(bits, lo, hi, rung_seed))
-    return out

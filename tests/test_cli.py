@@ -7,6 +7,7 @@ import pytest
 
 from sqfactor.bench import record_from_json
 from sqfactor.cli import main, parse_modulus
+from sqfactor.numeric import ceil_sqrt
 
 
 def run_cli(capsys, *argv):
@@ -150,18 +151,42 @@ def _from_decimal(text):
     return int(text[:-4000] or "0") * 10**4000 + int(text[-4000:])
 
 
+@pytest.fixture
+def default_int_str_limit(monkeypatch):
+    """CPython's default int/str limit in force, and changing it an error."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:  # the limit exists from CPython 3.11 on
+        saved = sys.get_int_max_str_digits()
+        set_limit(sys.int_info.default_max_str_digits)
+
+    def refuse(maxdigits):
+        raise AssertionError("the process-wide int/str limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    yield
+    if set_limit is not None:
+        set_limit(saved)
+
+
+@pytest.mark.usefixtures("default_int_str_limit")
 class TestWideIntegers:
     def test_hex_square_split_is_printed(self, capsys):
         root = 2**16000 + 1  # 4817 decimal digits
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         code, out, err = run_cli(capsys, "factor", hex(root * root))
         assert (code, err) == (0, "")
         fields = dict(token.split("=") for token in out.split())
         assert fields["p"] == fields["q"]
         assert _from_decimal(fields["p"]) == root
         assert (fields["k"], fields["iterations"]) == ("0", "0")
-        if limit is not None:
-            assert sys.get_int_max_str_digits() == limit  # restored after the call
+
+    def test_hex_square_split_json(self, capsys):
+        root = 2**16000 + 1
+        code, out, err = run_cli(capsys, "factor", hex(root * root), "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["p"] == doc["q"] == doc["factors"][0] == doc["factors"][1]
+        assert _from_decimal(doc["p"]) == root
+        assert (doc["k"], doc["iterations"]) == (0, 0)
 
     def test_wide_decimal_checkpoint_resumes(self, capsys, tmp_path):
         modulus = "1" + "0" * 4999 + "1"  # 10**5000 + 1
@@ -177,10 +202,44 @@ class TestWideIntegers:
         assert again == out.replace(" k=0\n", " k=5\n")
 
     def test_parse_modulus_lifts_the_limit_only_for_the_parse(self):
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
         assert parse_modulus("1" + "0" * 4999 + "1") == 10**5000 + 1
-        if limit is not None:
-            assert sys.get_int_max_str_digits() == limit
+
+    def test_wide_integer_flag(self, capsys):
+        code, out, err = run_cli(capsys, "factor", "187", "--max-iterations", "1" + "0" * 5000)
+        assert (code, out, err) == (0, "p=11 q=17 k=0 iterations=0\n", "")
+
+    def test_bad_integer_flag_is_not_echoed(self, capsys):
+        code, _, err = run_cli(
+            capsys, "generate", "--bits", "z" * 5000, "--max-gap", "2", "--seed", "0"
+        )
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert last.endswith("argument --bits: invalid int value: "
+                             "'zzzzzzzzzzzzzzzzzzzzzzzz'... (5000 characters)")
+        assert len(last.encode()) < 200
+
+    def test_wide_gap_bounds(self, capsys, tmp_path):
+        # windows [1, 10**5000] and [10**5000 + 1, 10**5000 + 1]; an odd gap is impossible
+        gaps = "1" + "0" * 5000 + ",1" + "0" * 4999 + "1"
+        wide = r"\[a 16610-bit integer, a 16610-bit integer\]"
+        with pytest.warns(UserWarning, match=rf"^skipping gap window {wide}: no 24-bit semiprime"):
+            code, out, _ = run_cli(
+                capsys, "bench", "--bits", "24", "--gaps", gaps, "--seed", "0",
+                "--methods", "fermat", "--out", str(tmp_path / "r.jsonl"),
+            )
+        assert (code, out) == (0, f"wrote 1 records to {tmp_path / 'r.jsonl'}\n")
+
+    def test_checkpoint_for_another_modulus_is_not_echoed(self, capsys, tmp_path):
+        ckpt = tmp_path / "walk.ckpt"
+        ckpt.write_text("n=5959 y0=78 k=1\n")
+        modulus = "1" + "0" * 4999 + "1"
+        code, out, err = run_cli(capsys, "factor", modulus, "--resume", str(ckpt))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: checkpoint is for modulus 5959, but a 16610-bit integer "
+            "normalizes to a 16610-bit integer\n"
+        )
+        assert len(err.encode()) < 200
 
 
 class TestJsonOutput:
@@ -217,6 +276,19 @@ class TestJsonOutput:
         assert doc["iterations"] == 1
         assert doc["checkpoint"] == "n=5959 y0=78 k=1"
         assert doc["resume"] == {"n": "5959", "y0": "78", "k": "1"}
+
+    def test_counts_from_2_to_the_53_are_strings(self, capsys, tmp_path):
+        n = (2**89 - 1) * (2**107 - 1)
+        k = 2**60 + 1
+        ckpt = tmp_path / "walk.ckpt"
+        ckpt.write_text(f"n={n} y0={ceil_sqrt(n)} k={k}\n")
+        code, out, _ = run_cli(
+            capsys, "factor", str(n), "--resume", str(ckpt), "--max-iterations", "5", "--json"
+        )
+        assert code == 3
+        assert '"iterations": "1152921504606846982"' in out
+        doc = json.loads(out)
+        assert doc["iterations"] == doc["resume"]["k"] == str(k + 5)
 
     def test_xscan_exhausted_document(self, capsys):
         code, out, _ = run_cli(

@@ -461,6 +461,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="malformed checkpoint token"):
             parse_checkpoint(f"n=187 y0=14 k={k}")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["n=" + "1" * 5000 + "x y0=1 k=0", "k" * 5000 + "=10 n=187 y0=14"],
+        ids=["wide token", "wide key"],
+    )
+    def test_wide_bad_input_is_not_echoed(self, line):
+        with pytest.raises(ValueError) as info:
+            parse_checkpoint(line)
+        assert "(5003 characters)" in str(info.value)
+        assert len(str(info.value).encode()) < 200
+
     def test_wide_round_trip_under_the_default_int_str_limit(self):
         state = fermat_factor((2**16000 + 1) ** 2, Budget(max_iterations=0)).resume
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfactor import semiprimes
+from sqfactor.bench import run_study
 from sqfactor.engine import Found, fermat_factor
 from sqfactor.numeric import ceil_sqrt
 from sqfactor.semiprimes import (
@@ -12,7 +13,6 @@ from sqfactor.semiprimes import (
     GeneratedSemiprime,
     SemiprimeSpec,
     SplitMix64,
-    gap_ladder,
     generate,
     generate_in_window,
     ladder_windows,
@@ -146,7 +146,7 @@ class TestGenerate:
         doc = sp.as_json_dict()
         assert set(doc) == {"p", "q", "n", "gap", "bits", "seed"}
         assert all(isinstance(v, str) for v in doc.values())
-        assert GeneratedSemiprime.from_json_dict(doc) == sp
+        assert GeneratedSemiprime(**{name: int(v) for name, v in doc.items()}) == sp
 
 
 class TestGenerateInWindow:
@@ -186,24 +186,6 @@ class TestLadder:
         expect = [master.next_word() for _ in range(4)]
         assert rung_seeds(99, 4) == expect
 
-    def test_gaps_strictly_increase_along_ladder(self):
-        gaps = [1 << 4, 1 << 8, 1 << 12, 1 << 16]
-        rungs = gap_ladder(bits=48, gaps=gaps, seed=7)
-        assert len(rungs) == 4
-        actual = [r.gap for r in rungs]
-        assert actual == sorted(set(actual))
-        for r, bound, lo in zip(rungs, gaps, [1, (1 << 4) + 1, (1 << 8) + 1, (1 << 12) + 1]):
-            assert lo <= r.gap <= bound
-
-    def test_leading_zero_rung_is_square(self):
-        rungs = gap_ladder(bits=32, gaps=[0, 16], seed=11)
-        assert rungs[0].p == rungs[0].q
-        assert rungs[1].gap >= 1
-
-    def test_ladder_deterministic(self):
-        gaps = [4, 64, 1024]
-        assert gap_ladder(40, gaps, seed=21) == gap_ladder(40, gaps, seed=21)
-
 
 class TestGoldenValues:
     """(p, q) pinned at the release that unified the upward prime searches:
@@ -228,9 +210,17 @@ class TestGoldenValues:
         assert (sp.p, sp.q) == pair
 
     def test_gap_ladder(self):
-        rungs = gap_ladder(48, [16, 256, 4096], seed=7)
+        # the rung loop of bench.run_study: one generate_in_window per window
+        gaps = [16, 256, 4096]
+        seeds = rung_seeds(7, len(gaps))
+        rungs = [
+            generate_in_window(48, lo, hi, seed)
+            for seed, (lo, hi) in zip(seeds, ladder_windows(gaps))
+        ]
         assert [(r.p, r.q) for r in rungs] == [
             (11259473, 11259481),
             (9559271, 9559289),
             (9942029, 9942299),
         ]
+        records = run_study(48, gaps, seed=7, methods=("fermat",))
+        assert [(r.gap, r.seed) for r in records] == [(r.gap, r.seed) for r in rungs]
