@@ -89,6 +89,14 @@ def record_from_json(line: str) -> BenchRecord:
     return BenchRecord(**values)
 
 
+class SkippedWindow(UserWarning):
+    """run_study skipped the gap window [lo, hi]: no semiprime was generated in it."""
+
+    def __init__(self, lo: int, hi: int, reason: FeasibilityError):
+        super().__init__(f"skipping gap window [{shown(lo)}, {shown(hi)}]: {reason}")
+        self.lo, self.hi = lo, hi
+
+
 _OUTCOME_NAMES = {
     Found: "found", NoNontrivialFactor: "no_factor", BudgetExhausted: "budget_exhausted"
 }
@@ -148,7 +156,8 @@ def run_study(
     (gap, then method) for every `workers`; `workers` > 1 measures the
     cells in a pool of at most one process per cell.  Iteration columns
     are deterministic for a fixed (seed, budget); wall times are not.
-    Infeasible rungs raise a warning and are skipped; the rest proceeds.
+    An infeasible rung raises a ``SkippedWindow`` warning and is skipped;
+    the rest proceeds.
     """
     if not methods:
         raise ValueError("methods must be nonempty")
@@ -162,7 +171,7 @@ def run_study(
         try:
             sp = generate_in_window(bits, lo, hi, rung_seed)
         except FeasibilityError as exc:
-            warnings.warn(f"skipping gap window [{shown(lo)}, {shown(hi)}]: {exc}")
+            warnings.warn(SkippedWindow(lo, hi, exc))
             continue
         cells.extend((sp, method, budget) for method in methods)
 

@@ -12,9 +12,10 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 from typing import List, Optional
 
-from .bench import record_to_json, run_study, scaling_summary
+from .bench import SkippedWindow, record_to_json, run_study, scaling_summary
 from .engine import (
     Budget,
     BudgetExhausted,
@@ -69,6 +70,13 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
 
 
+def _float_arg(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {shown(text)}")
+
+
 def _budget_from(args) -> Budget:
     if args.max_iterations is None and args.max_seconds is None:
         return Budget(max_iterations=DEFAULT_MAX_ITERATIONS)
@@ -89,11 +97,18 @@ def _fail(message: str, as_json: bool) -> int:
     return _EXIT_USAGE
 
 
+def _os_error_text(exc: OSError) -> str:
+    """str(exc), with the file name quoted through shown."""
+    if exc.filename is None:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+
+
 def _load_checkpoint(path: str):
     try:
         text = open(path, "r", encoding="utf-8").read()
     except OSError as exc:
-        raise ValueError(f"cannot read checkpoint file: {exc}")
+        raise ValueError(f"cannot read checkpoint file: {_os_error_text(exc)}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"checkpoint file {shown(path)} is empty")
@@ -224,6 +239,9 @@ def _cmd_bench(args) -> int:
     methods = tuple(args.methods.split(","))
     budget = _budget_from(args)
     with contextlib.ExitStack() as stack:
+        # recorded, then printed as plain lines without Python's source-line display
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always", SkippedWindow)
         sink = _OutFile(args.out, stack)
         records = run_study(
             bits=args.bits,
@@ -235,6 +253,9 @@ def _cmd_bench(args) -> int:
             workers=args.workers,
         )
         sink.write("")  # a study with no records still leaves an empty file
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    skipped = [w.message for w in caught if isinstance(w.message, SkippedWindow)]
     try:
         summary, note = scaling_summary(records), None
     except ValueError as exc:
@@ -251,6 +272,7 @@ def _cmd_bench(args) -> int:
                 "records": [json.loads(record_to_json(r)) for r in records],
                 "summary_csv": csv,
                 "summary_note": note,
+                "skipped": [[int_to_str(w.lo), int_to_str(w.hi)] for w in skipped],
             }
         )
     print(f"wrote {len(records)} records to {args.out}")
@@ -277,7 +299,7 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
         help=f"candidate budget for this run (default {DEFAULT_MAX_ITERATIONS:_})",
     )
     sub.add_argument(
-        "--max-seconds", type=float, default=None, metavar="S",
+        "--max-seconds", type=_float_arg, default=None, metavar="S",
         help="wall-clock budget for this run",
     )
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
@@ -339,8 +361,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     except BrokenPipeError:
         raise  # stdout is gone, so there is nowhere to report it
-    except (ValueError, FeasibilityError, OSError) as exc:
+    except (ValueError, FeasibilityError) as exc:
         return _fail(str(exc), getattr(args, "json", False))
+    except OSError as exc:
+        return _fail(_os_error_text(exc), getattr(args, "json", False))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -19,9 +19,16 @@ The square detector is split in two layers:
 
 ``floor_sqrt`` and ``ceil_sqrt`` are ``math.isqrt`` and its ceiling.
 
+``is_probable_prime`` is exact below 3.3e24: a gcd with the product of
+the witness primes 2..41 screens out their multiples, and a survivor
+runs only the first k of those witnesses, the fewest that the known
+smallest strong pseudoprimes prove exact for its size.  Above the bound
+it draws random witnesses from the caller's generator.
+
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
-without CPython's 4300-digit int/str limit: ``decimal.Decimal`` converts
-exactly and is exempt, so no caller lifts the process-wide limit.  This
+without CPython's 4300-digit int/str limit: they try ``str``/``int``
+first, and past the limit ``decimal.Decimal`` converts exactly and is
+exempt, so no caller lifts the process-wide limit.  This
 module alone decides how an int becomes text: ``json_int`` is the form a
 count takes in a JSON document, and ``shown`` is how an error message
 quotes a value that came from outside.
@@ -60,7 +67,10 @@ def int_to_str(n: int) -> str:
     >>> int_to_str(-187)
     '-187'
     """
-    return str(decimal.Decimal(n))
+    try:
+        return str(n)
+    except ValueError:  # over CPython's int/str digit limit
+        return str(decimal.Decimal(n))
 
 
 def str_to_int(text: str) -> int:
@@ -77,7 +87,10 @@ def str_to_int(text: str) -> int:
     # doubled underscore fails, as do the point, exponent, nan and inf Decimal takes
     if not all(group.isdecimal() for group in digits.split("_")):
         raise ValueError(f"not a decimal integer: {shown(text)}")
-    return int(decimal.Decimal(s.replace("_", "")))
+    try:
+        return int(s)
+    except ValueError:  # valid syntax, so only the int/str digit limit gets here
+        return int(decimal.Decimal(s.replace("_", "")))
 
 
 def json_int(n: int):
@@ -165,6 +178,23 @@ def is_perfect_square(n: int) -> SquareTestResult:
 # for the first 13 primes, 3.317e24).
 _DETERMINISTIC_BOUND = 3317044064679887385961981
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_PRODUCT = math.prod(_DETERMINISTIC_WITNESSES)
+# (bound, k): no composite below bound passes the first k witnesses.  Each
+# bound is the smallest strong pseudoprime to the first k prime bases
+# (Jaeschke 1993; Sorenson & Webster 2017), so the 13-witness test gives
+# the same answer below it.
+_WITNESS_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (_DETERMINISTIC_BOUND, 13),
+)
 # random witnesses per test above the bound: error at most 4**-24 per composite
 _RANDOM_ROUNDS = 24
 
@@ -184,25 +214,32 @@ def _mr_witness_passes(n: int, d: int, r: int, a: int) -> bool:
 def is_probable_prime(n: int, rng=random) -> bool:
     """Miller-Rabin primality test.
 
-    Exact (deterministic witness set) for n below about 3.3e24.  Beyond
-    that, a fixed 24 random witnesses give an error probability of at
-    most 4**-24 for composite n.  ``rng`` only needs a ``randrange``
+    Exact for n below about 3.3e24.  There one gcd with the product of
+    the 13 witness primes 2..41 rejects any n they divide (n < 43 is
+    prime iff it is one of them), and a survivor runs only the first k
+    witnesses, where k is the smallest that ``_WITNESS_TIERS`` proves
+    exact for n: 1 below 2047, 4 below 3.2e9, 9 below 3.8e18.  Beyond
+    the bound, a fixed 24 random witnesses give an error probability of
+    at most 4**-24 for composite n.  ``rng`` only needs a ``randrange``
     method and is consulted only above the deterministic bound, so
     results below it never depend on it.
     """
-    if n < 2:
+    if n < _DETERMINISTIC_BOUND:
+        if n < 43:
+            return n in _DETERMINISTIC_WITNESSES
+        if math.gcd(n, _WITNESS_PRODUCT) != 1:
+            return False
+        k = next(k for bound, k in _WITNESS_TIERS if n < bound)
+        witnesses = _DETERMINISTIC_WITNESSES[:k]
+    elif n % 2 == 0:
         return False
-    if n % 2 == 0:
-        return n == 2
+    else:
+        witnesses = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _DETERMINISTIC_BOUND:
-        witnesses = [a for a in _DETERMINISTIC_WITNESSES if a % n != 0]
-    else:
-        witnesses = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
     for a in witnesses:
         if not _mr_witness_passes(n, d, r, a):
             return False

@@ -221,13 +221,40 @@ class TestWideIntegers:
     def test_wide_gap_bounds(self, capsys, tmp_path):
         # windows [1, 10**5000] and [10**5000 + 1, 10**5000 + 1]; an odd gap is impossible
         gaps = "1" + "0" * 5000 + ",1" + "0" * 4999 + "1"
-        wide = r"\[a 16610-bit integer, a 16610-bit integer\]"
-        with pytest.warns(UserWarning, match=rf"^skipping gap window {wide}: no 24-bit semiprime"):
-            code, out, _ = run_cli(
-                capsys, "bench", "--bits", "24", "--gaps", gaps, "--seed", "0",
-                "--methods", "fermat", "--out", str(tmp_path / "r.jsonl"),
-            )
+        wide = "[a 16610-bit integer, a 16610-bit integer]"
+        args = ("bench", "--bits", "24", "--gaps", gaps, "--seed", "0",
+                "--methods", "fermat", "--out", str(tmp_path / "r.jsonl"))
+        code, out, err = run_cli(capsys, *args)
         assert (code, out) == (0, f"wrote 1 records to {tmp_path / 'r.jsonl'}\n")
+        assert err.startswith(f"warning: skipping gap window {wide}: no 24-bit semiprime")
+        assert len(err.splitlines()[0].encode()) < 400
+        code, out, _ = run_cli(capsys, *args, "--json")
+        bound = "1" + "0" * 4999 + "1"
+        assert (code, json.loads(out)["skipped"]) == (0, [[bound, bound]])
+
+    def test_bad_float_flag_is_not_echoed(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "187", "--max-seconds", "z" * 5000)
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert last.endswith("argument --max-seconds: invalid float value: "
+                             "'zzzzzzzzzzzzzzzzzzzzzzzz'... (5000 characters)")
+        assert len(last.encode()) < 200
+        code, _, err = run_cli(capsys, "factor", "187", "--max-seconds", "abc")
+        assert err.splitlines()[-1].endswith("argument --max-seconds: invalid float value: 'abc'")
+
+    @pytest.mark.parametrize("flag", ["--resume", "--out", "--summary-csv"])
+    def test_long_file_name_is_not_echoed(self, capsys, tmp_path, flag):
+        name = "f" * 5000  # longer than any file system allows
+        if flag == "--resume":
+            args = ("factor", "187", "--resume", name)
+        else:
+            args = ("bench", "--bits", "20", "--gaps", "8,64", "--seed", "0",
+                    "--methods", "fermat", "--out", str(tmp_path / "r.jsonl"), flag, name)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(": 'ffffffffffffffffffffffff'... (5000 characters)\n")
+        assert len(err.encode()) < 200
 
     def test_checkpoint_for_another_modulus_is_not_echoed(self, capsys, tmp_path):
         ckpt = tmp_path / "walk.ckpt"
@@ -436,17 +463,23 @@ class TestBenchCommand:
 
     def test_odd_gap_rung_is_skipped_with_a_warning(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
-        with pytest.warns(UserWarning, match=r"skipping gap window \[1, 1\]"):
-            code, out, _ = run_cli(
-                capsys, "bench", "--bits", "64", "--gaps", "1,16,256", "--seed", "0",
-                "--out", str(out_path),
-            )
+        args = ("bench", "--bits", "64", "--gaps", "1,16,256", "--seed", "0",
+                "--out", str(out_path))
+        code, out, err = run_cli(capsys, *args)
         assert code == 0
+        # one plain line, not Python's warning display with its source line
+        assert err == (
+            "warning: skipping gap window [1, 1]: no 64-bit semiprime with gap in [1, 1]: "
+            "p and q are odd primes, so a gap q - p > 0 is even, and the window holds no "
+            "even gap above 0\n"
+        )
         records = [record_from_json(ln) for ln in out_path.read_text().splitlines()]
         assert out.splitlines()[0] == f"wrote {len(records)} records to {out_path}"
         assert [(r.method, 1 < r.gap <= 256) for r in records] == [
             ("fermat", True), ("xscan", True), ("fermat", True), ("xscan", True)
         ]
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert (code, json.loads(out)["skipped"]) == (0, [["1", "1"]])
 
     def test_single_gap_skips_summary(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
@@ -469,6 +502,7 @@ class TestBenchCommand:
         assert len(doc["records"]) == 4
         assert doc["summary_csv"].startswith("gap,n_bits,")
         assert doc["summary_note"] is None
+        assert doc["skipped"] == []
 
     def test_worker_flag(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"

@@ -1,18 +1,23 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqfactor.numeric import (
     SquareTestResult,
+    _mr_witness_passes,
     ceil_sqrt,
     floor_sqrt,
+    int_to_str,
     is_perfect_square,
     is_probable_prime,
     residue_filter,
+    str_to_int,
 )
+from sqfactor.semiprimes import generate_in_window
 
 
 class TestFloorSqrt:
@@ -175,3 +180,131 @@ class TestIsProbablePrime:
         big_prime = 2**521 - 1  # Mersenne
         assert is_probable_prime(big_prime, rng=random.Random(5)) is True
         assert is_probable_prime(big_prime, rng=random.Random(5)) is True
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (n, j): an odd composite that passes the first j prime bases.  The
+# published smallest strong pseudoprimes to the first k prime bases
+# (Jaeschke, Math. Comp. 61 (1993); Sorenson & Webster, Math. Comp. 86
+# (2017)) are each tier's bound, and each lies in the next tier up, so
+# it also shows that tier needs more than j witnesses.  2047 = 23 * 89
+# falls to the small-prime screen, so 43**2 and 8321 = 53 * 157 are the
+# composites that need the first tier's one witness and the second's two.
+_STRONG_PSEUDOPRIMES = (
+    (1849, 0),
+    (2047, 1),
+    (8321, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 8),
+    (3825123056546413051, 11),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+
+def _odd_part(n):
+    """(d, r) with n - 1 = d * 2**r and d odd."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return d, r
+
+
+def _strong_probable_prime(n, a):
+    d, r = _odd_part(n)
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _reference_is_prime(n):
+    """Miller-Rabin with all 13 prime bases: exact below 3.3e24."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(a % n == 0 or _strong_probable_prime(n, a) for a in _PRIME_BASES)
+
+
+def _next_prime(n):
+    while not _reference_is_prime(n):
+        n += 1
+    return n
+
+
+class TestWitnessTiers:
+    @pytest.mark.parametrize("n, j", _STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprime_passes_its_witnesses_and_is_rejected(self, n, j):
+        d, r = _odd_part(n)
+        assert all(_mr_witness_passes(n, d, r, a) for a in _PRIME_BASES[:j])
+        assert is_probable_prime(n) is False
+
+    @given(
+        st.one_of(
+            st.sampled_from([n for n, _ in _STRONG_PSEUDOPRIMES]).flatmap(
+                lambda bound: st.integers(bound - 10**4, bound + 10**4)
+            ),
+            st.integers(-10, 1 << 82),
+        )
+    )
+    @settings(max_examples=500)
+    def test_agrees_with_all_thirteen_witnesses_around_every_bound(self, n):
+        assume(n < 3317044064679887385961981)
+        assert is_probable_prime(n) == _reference_is_prime(n)
+
+    @given(st.integers(2, 1 << 40), st.integers(2, 1 << 40))
+    @settings(max_examples=200)
+    def test_agrees_on_products_of_two_primes(self, a, b):
+        p, q = _next_prime(a), _next_prime(b)
+        assert is_probable_prime(p) is True
+        assert is_probable_prime(p * q) is False
+
+    @pytest.mark.parametrize(
+        "bits, gap_lo, gap_hi, seed, p, q",
+        [
+            # p is above the deterministic bound, so the rng's witness draws
+            # decide which candidates are tested and in what state the
+            # generator reaches q
+            (200, 1, 2**40, 7,
+             1264009797864631314791059820281, 1264009797864631314791059820359),
+            (512, 2**20 + 1, 2**24, 11,
+             58430312932361274672857927105476687268343933150895435941350456854433446768817,
+             58430312932361274672857927105476687268343933150895435941350456854433447817503),
+        ],
+    )
+    def test_generated_semiprimes_above_the_bound_are_pinned(
+        self, bits, gap_lo, gap_hi, seed, p, q
+    ):
+        sp = generate_in_window(bits, gap_lo, gap_hi, seed)
+        assert (sp.p, sp.q) == (p, q)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.11"
+)
+class TestDecimalTextAroundTheDigitLimit:
+    def test_both_sides_of_a_lowered_limit(self):
+        limit = 640  # the smallest limit CPython accepts
+        cases = [(n, str(n)) for n in (10**limit - 1, -(10**limit + 12345))]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(ValueError):
+                str(cases[1][0])  # so the wide side takes the fallback
+            for n, text in cases:
+                assert int_to_str(n) == text
+                assert str_to_int(text) == n
+                assert str_to_int(f" {text}_0 ") == n * 10
+            for bad in ("1" * limit + ".5", "1" * (limit + 1) + "__2", "1" * (limit + 1) + "x"):
+                with pytest.raises(ValueError, match="^not a decimal integer: .{0,60}$"):
+                    str_to_int(bad)
+        finally:
+            sys.set_int_max_str_digits(saved)
