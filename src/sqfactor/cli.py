@@ -15,7 +15,6 @@ import sys
 import warnings
 from typing import List, Optional
 
-from .bench import SkippedWindow, record_to_json, run_study, scaling_summary
 from .engine import (
     Budget,
     BudgetExhausted,
@@ -31,7 +30,6 @@ from .engine import (
     xscan_factor,
 )
 from .numeric import int_to_str, json_int, shown, str_to_int
-from .semiprimes import FeasibilityError, SemiprimeSpec, generate
 
 DEFAULT_MAX_ITERATIONS = 10**8  # library default is unlimited; the CLI is not
 
@@ -204,6 +202,7 @@ def _run_split(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .semiprimes import SemiprimeSpec, generate  # not loaded by factor/xscan runs
     if not 0 <= args.seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")  # only the --count advance wraps
     if args.count < 0:
@@ -235,6 +234,7 @@ class _OutFile:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import SkippedWindow, record_to_json, run_study, scaling_summary
     gaps = _parse_gaps(args.gaps)
     methods = tuple(args.methods.split(","))
     budget = _budget_from(args)
@@ -361,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     except BrokenPipeError:
         raise  # stdout is gone, so there is nowhere to report it
-    except (ValueError, FeasibilityError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), getattr(args, "json", False))
     except OSError as exc:
         return _fail(_os_error_text(exc), getattr(args, "json", False))

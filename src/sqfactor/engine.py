@@ -22,9 +22,10 @@ unbudgeted search total.
 
 Searches take an optional Budget and return a FactorOutcome sum type:
 Found, NoNontrivialFactor, or BudgetExhausted carrying a resumable
-state.  Resuming an exhausted search examines exactly the candidates a
-never-interrupted run would have examined next, so a budgeted run plus
-its resumption is indistinguishable from one unlimited run.
+state, each a NamedTuple, never equal across types.  Resuming an
+exhausted search examines exactly the candidates a never-interrupted
+run would have examined next, so a budgeted run plus its resumption
+is indistinguishable from one unlimited run.
 
 The same machinery supports the inverted scan over half-gaps x
 (xscan_factor): test x = 0, 1, 2, ... for n + x*x being a perfect
@@ -48,7 +49,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, shown, str_to_int
 
@@ -143,21 +144,18 @@ class XScanState:
         return self.x
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(NamedTuple):
     p: int
     q: int
     k: int
     iterations: int
 
 
-@dataclass(frozen=True)
-class NoNontrivialFactor:
+class NoNontrivialFactor(NamedTuple):
     iterations: int
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
+class BudgetExhausted(NamedTuple):
     iterations: int
     resume: Union[SearchState, XScanState]
 
@@ -277,8 +275,8 @@ def _walk(
             y, x = (u, r) if u > r else (r, u)
             if y - x == 1:
                 # trivial representation n = 1 * n: the search space is exhausted
-                return NoNontrivialFactor(iterations=u - a)
-            return Found(p=y - x, q=y + x, k=y - y0, iterations=u - a)
+                return NoNontrivialFactor(u - a)
+            return Found(y - x, y + x, y - y0, u - a)
         i = end
         if deadline is not None or next_report is not None:
             now = time.perf_counter()
@@ -287,7 +285,7 @@ def _walk(
             if next_report is not None and now >= next_report:
                 progress(i)
                 next_report = now + _PROGRESS_INTERVAL
-    return BudgetExhausted(iterations=i, resume=new_state(n, y0, i))
+    return BudgetExhausted(i, new_state(n, y0, i))
 
 
 @lru_cache(maxsize=None)

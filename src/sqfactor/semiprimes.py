@@ -81,7 +81,7 @@ class SplitMix64:
                 return low + draw
 
 
-class FeasibilityError(Exception):
+class FeasibilityError(ValueError):
     """The gap window holds no even gap, or no qualifying prime pair was
     found within MAX_ATTEMPTS restarts."""
 

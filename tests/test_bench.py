@@ -2,6 +2,7 @@ import concurrent.futures
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -20,6 +21,7 @@ from sqfactor.bench import (
 )
 from sqfactor.engine import Budget
 from sqfactor.numeric import is_probable_prime
+from sqfactor.semiprimes import FeasibilityError
 
 
 class TestMeasure:
@@ -231,6 +233,14 @@ class TestRunStudy:
                     bits=16, gaps=[1], seed=0, sink=sink, workers=workers
                 ) == []
             assert sink.getvalue() == ""
+
+    def test_only_an_infeasible_window_is_skipped(self):
+        # FeasibilityError is a ValueError, but no other ValueError becomes a skip
+        assert issubclass(FeasibilityError, ValueError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SkippedWindow would raise here
+            with pytest.raises(ValueError, match="bits must be >= 4"):
+                run_study(bits=3, gaps=[4, 32], seed=0)
 
     def test_worker_pool_matches_sequential(self):
         kwargs = dict(bits=28, gaps=[8, 128], seed=1, methods=("fermat",))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 
@@ -408,6 +409,49 @@ class TestResumeStateType:
         state = fermat_factor(10403, Budget(max_iterations=0)).resume
         with pytest.raises(ValueError, match="resume_xscan needs an XScanState, got SearchState"):
             resume_xscan(state)
+
+
+class TestOutcomes:
+    # outcomes are NamedTuples; this pins what callers saw of the old frozen dataclasses
+    def test_repr_names_every_field(self):
+        assert repr(fermat_factor(187)) == "Found(p=11, q=17, k=0, iterations=0)"
+        assert repr(fermat_factor(7)) == "NoNontrivialFactor(iterations=1)"
+        assert repr(fermat_factor(5959, Budget(max_iterations=1))) == (
+            "BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1, d=282))"
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        exhausted = xscan_factor(5959, Budget(max_iterations=1))
+        for out in (fermat_factor(187), fermat_factor(7), exhausted):
+            with pytest.raises(AttributeError):
+                out.iterations = 5
+
+    def test_different_types_never_compare_equal(self):
+        state = SearchState(n=5959, y0=78, k=1, d=282)
+        outcomes = [
+            Found(p=1, q=1, k=1, iterations=1),
+            Found(p=state, q=state, k=state, iterations=state),
+            NoNontrivialFactor(iterations=1),
+            NoNontrivialFactor(iterations=state),
+            BudgetExhausted(iterations=1, resume=state),
+            BudgetExhausted(iterations=state, resume=state),
+        ]
+        for a in outcomes:
+            for b in outcomes:
+                if type(a) is not type(b):
+                    assert a != b
+
+    def test_equal_to_the_plain_tuple_of_fields(self):
+        p, q, k, iterations = fermat_factor(5959)
+        assert (p, q, k, iterations) == fermat_factor(5959) == (59, 101, 2, 2)
+
+    @pytest.mark.parametrize("walk", [fermat_factor, xscan_factor])
+    def test_budget_exhausted_round_trips_through_pickle(self, walk):
+        out = walk(5959, Budget(max_iterations=1))
+        back = pickle.loads(pickle.dumps(out))
+        assert type(back) is BudgetExhausted and back == out
+        assert type(back.resume) is type(out.resume)
+        assert (resume_fermat if walk is fermat_factor else resume_xscan)(back.resume) == walk(5959)
 
 
 class TestCheckpoints:

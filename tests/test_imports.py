@@ -23,14 +23,34 @@ def test_no_private_name_crosses_a_module_boundary():
     assert offences == []
 
 
+# loaded only by the subcommands that use them: the process pool where
+# `bench --workers N` builds it, bench and statistics by `bench`, semiprimes
+# by `generate` and `bench`
+_LAZY = ("sqfactor.bench", "sqfactor.semiprimes", "statistics")
+
+
+def _lazy_among(modules) -> list:
+    return sorted(m for m in modules if m in _LAZY or m.split(".")[0] == "multiprocessing")
+
+
 def test_cli_import_loads_no_process_pool():
-    # the process pool is imported only where `bench --workers N` builds it
-    probe = (
-        "import sys, sqfactor.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
-    )
+    probe = "import sys, sqfactor.cli; print(*sys.modules, sep='\\n')"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     ).stdout
-    assert out == "[]\n"
+    assert _lazy_among(out.splitlines()) == []
+
+    # a whole `factor` process; -X importtime names every module it loads on stderr
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sqfactor", "factor", "187"],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert run.stdout == "p=11 q=17 k=0 iterations=0\n"
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"sqfactor.cli", "sqfactor.engine"} <= loaded
+    assert _lazy_among(loaded) == []
