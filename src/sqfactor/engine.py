@@ -34,12 +34,18 @@ square s*s, which yields y = s directly.  Both scans return identical
 
 Both walks seek the first j for which (a + j)**2 + c is a perfect
 square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
-One kernel, _scan, runs that search over j in i, ..., end - 1, and
-the driver, _walk, calls it once per slice of _SLICE candidates.  The
-driver owns everything else: the stop index a budget sets, the
-deadline and the progress callback (both serviced between slices
-only, so the kernel reads no clock), the bound at the trivial
-representation, and turning a hit or a spent budget into an outcome.
+One kernel, _scan, runs that search over j in i, ..., end - 1.  It
+takes an exact root only of candidates that can be squares modulo 64,
+63, 65 and 11.  Below index _T it carries t = (a + j)**2 + c and
+screens t; from _T on it screens u = a + j by its residues modulo the
+four, all small ints, and builds t only for a u that passes.  That
+saves the big-int work per candidate on a long walk, and a tiny split,
+over before _T, skips the set-up of the u-screens.  The driver, _walk,
+calls the kernel once per slice of _SLICE candidates and owns
+everything else: the stop index a budget sets, the deadline and the
+progress callback (both serviced between slices only, so the kernel
+reads no clock), the bound at the trivial representation, and turning
+a hit or a spent budget into an outcome.
 """
 
 from __future__ import annotations
@@ -79,6 +85,10 @@ __all__ = [
 _SLICE = 1 << 14
 _PROGRESS_INTERVAL = 1.0
 _SCREENS = tuple(SQUARE_RESIDUES[m] for m in (63, 65, 11))  # the kernel's 63/65/11 screens
+# Walk index from which _scan screens u by its residues instead of building
+# u*u + c for each candidate: one mod-64 period, past the window length at
+# which the u-screens' set-up pays for itself (10-32 candidates by timeit).
+_T = 64
 
 
 def _start_root(n: int) -> int:
@@ -299,28 +309,66 @@ def _jump_table(c_mod_64: int) -> tuple:
     return tuple(min((v - r) % 64 for v in allowed) for r in range(64))
 
 
+@lru_cache(maxsize=None)
+def _step_table(c_mod_64: int) -> tuple:
+    """Distance from each u mod 64 to the next u' > u for which u'*u' + c
+    can be a square mod 64."""
+    jumps = _jump_table(c_mod_64)
+    return tuple(1 + jumps[(r + 1) & 63] for r in range(64))
+
+
+@lru_cache(maxsize=None)  # keys (m, c % m): at most 63 + 65 + 11 of them
+def _u_screen(m: int, c_mod_m: int) -> bytes:
+    """Entry r is 1 iff r*r + c can be a square mod m."""
+    squares = SQUARE_RESIDUES[m]
+    return bytes(squares[(r * r + c_mod_m) % m] for r in range(m))
+
+
 def _scan(a: int, c: int, i: int, end: int) -> Optional[tuple]:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
-    r*r, or None; values the mod-64 jump table rules out are skipped."""
-    sq63, sq65, sq11 = _SCREENS
+    r*r, or None; values the mod-64 jump table rules out are skipped.
+
+    Below walk index _T the loop carries t = u*u + c and screens t; from
+    _T on it screens u mod 64, 63, 65 and 11, small ints, and builds t
+    only for a u that passes all four.  Both admit exactly the same u.
+    """
     jumps = _jump_table(c & 63)  # c mod 64, also for negative c
-    u = a + i
-    u_end = a + end
-    t = u * u + c
-    while u < u_end:
-        jump = jumps[u & 63]
-        if jump:
-            if u + jump >= u_end:
-                return None
-            t += jump * (2 * u + jump)
-            u += jump
-        # u is in an allowed residue class; t passed the mod-64 screen
-        if sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
+    if i < _T:
+        sq63, sq65, sq11 = _SCREENS
+        u = a + i
+        u_end = a + end if end < _T else a + _T
+        t = u * u + c
+        while u < u_end:
+            jump = jumps[u & 63]
+            if jump:
+                if u + jump >= u_end:
+                    break
+                t += jump * (2 * u + jump)
+                u += jump
+            # u is in an allowed residue class; t passed the mod-64 screen
+            if sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
+                r = math.isqrt(t)
+                if r * r == t:
+                    return u, r
+            t += 2 * u + 1
+            u += 1
+        if end <= _T:
+            return None
+        i = _T
+    steps = _step_table(c & 63)
+    s63, s65, s11 = _u_screen(63, c % 63), _u_screen(65, c % 65), _u_screen(11, c % 11)
+    u0 = a + i  # u = u0 + v with v < end - i, so u % m == (v + u0 % m) % m
+    o64, o63, o65, o11 = u0 & 63, u0 % 63, u0 % 65, u0 % 11
+    v = jumps[o64]
+    end -= i
+    while v < end:
+        if s63[(v + o63) % 63] and s65[(v + o65) % 65] and s11[(v + o11) % 11]:
+            u = u0 + v
+            t = u * u + c
             r = math.isqrt(t)
             if r * r == t:
                 return u, r
-        t += 2 * u + 1
-        u += 1
+        v += steps[(v + o64) & 63]
     return None
 
 

@@ -27,16 +27,15 @@ it draws random witnesses from the caller's generator.
 
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
 without CPython's 4300-digit int/str limit: they try ``str``/``int``
-first, and past the limit ``decimal.Decimal`` converts exactly and is
-exempt, so no caller lifts the process-wide limit.  This
-module alone decides how an int becomes text: ``json_int`` is the form a
-count takes in a JSON document, and ``shown`` is how an error message
-quotes a value that came from outside.
+first, and past the limit ``decimal.Decimal``, imported only then,
+converts exactly and is exempt, so no caller lifts the process-wide
+limit.  This module alone decides how an int becomes text: ``json_int``
+is the form a count takes in a JSON document, and ``shown`` is how an
+error message quotes a value that came from outside.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 import random
 from typing import NamedTuple, Optional
@@ -70,6 +69,8 @@ def int_to_str(n: int) -> str:
     try:
         return str(n)
     except ValueError:  # over CPython's int/str digit limit
+        import decimal
+
         return str(decimal.Decimal(n))
 
 
@@ -90,6 +91,8 @@ def str_to_int(text: str) -> int:
     try:
         return int(s)
     except ValueError:  # valid syntax, so only the int/str digit limit gets here
+        import decimal
+
         return int(decimal.Decimal(s.replace("_", "")))
 
 

@@ -4,11 +4,13 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqfactor.bench import load_rsa100
 from sqfactor.engine import (
+    _SLICE,
+    _T,
     Budget,
     BudgetExhausted,
     Found,
@@ -25,6 +27,9 @@ from sqfactor.engine import (
     resume_fermat,
     resume_xscan,
     step,
+    _scan,
+    _step_table,
+    _u_screen,
     xscan_factor,
 )
 from sqfactor.numeric import ceil_sqrt, is_perfect_square
@@ -563,9 +568,10 @@ class TestNormalizeInput:
                 normalize_input(bad)
 
 
-# Chunk edges every chained run passes through: the mod-64 jump table's
-# period and the driver's slice boundaries.
-_FIXED_EDGES = (63, 64, 65, 1 << 14, 2 << 14, 3 << 14)
+# Chunk edges every chained run passes through: the kernel's switch from
+# screening t to screening u (_T, one mod-64 period), an edge inside a
+# slice, and the driver's slice boundaries.
+_FIXED_EDGES = (_T - 1, _T, _T + 1, 4099, _SLICE, 2 * _SLICE, 3 * _SLICE)
 _WALKS = {"fermat": (fermat_factor, resume_fermat), "xscan": (xscan_factor, resume_xscan)}
 
 # (y, x) pairs whose n = y*y - x*x is odd and whose hit index (y - y0 on
@@ -574,6 +580,85 @@ _NEAR_2_40 = {
     "fermat": ((1 << 61, (1 << 51) + 1), ((1 << 60) + 3, (3 << 49) + 12)),
     "xscan": (((1 << 50) + 1, (1 << 40) + 6), (3 << 48, (1 << 40) + 37)),
 }
+
+
+def _reference_scan(a, c, i, end):
+    # _scan without screens: an exact square root for every candidate
+    for u in range(a + i, a + end):
+        t = u * u + c
+        r = math.isqrt(t)
+        if r * r == t:
+            return u, r
+    return None
+
+
+def _walk_shape(walk, n):
+    return (ceil_sqrt(n), -n) if walk == "y" else (0, n)
+
+
+# window starts below, at and past _T, next to a slice multiple, and far out
+_window_starts = st.one_of(
+    st.integers(min_value=0, max_value=3 * _T),
+    st.sampled_from((_T - 1, _T, _T + 1)),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda s: st.integers(min_value=s * _SLICE - 300, max_value=s * _SLICE + 1)
+    ),
+    st.integers(min_value=0, max_value=1 << 41),
+)
+_window_lengths = st.integers(min_value=0, max_value=3 * _T + 130)
+
+
+class TestKernel:
+    @given(
+        walk=st.sampled_from("yx"),
+        odd=st.integers(min_value=1, max_value=1 << 200).map(lambda v: 2 * v + 1),
+        # c divisible by 3, 5, 7, 11 or 13 makes the u-screens admit more
+        factor=st.sampled_from((1, 3, 5, 7, 11, 13, 3 * 5 * 7 * 11 * 13)),
+        i=_window_starts,
+        length=_window_lengths,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_scan_matches_the_reference(self, walk, odd, factor, i, length):
+        a, c = _walk_shape(walk, factor * odd)
+        assert _scan(a, c, i, i + length) == _reference_scan(a, c, i, i + length)
+
+    @given(
+        walk=st.sampled_from("yx"),
+        hit=_window_starts,
+        before=st.integers(min_value=0, max_value=2 * _T + 2),
+        after=st.integers(min_value=0, max_value=2 * _T + 2),
+        big=st.integers(min_value=1 << 43, max_value=1 << 160),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scan_finds_a_planted_square(self, walk, hit, before, after, big):
+        if walk == "x":
+            gap = 2 * (big % 1000) + 1  # n + hit**2 == (hit + gap)**2
+            n = gap * (2 * hit + gap)
+        else:
+            y = big
+            x = ceil_sqrt(2 * y * hit - hit * hit)  # so y - ceil_sqrt(y*y - x*x) == hit
+            x += (y - x + 1) % 2  # y and x of opposite parity make n odd
+            n = y * y - x * x
+            assume(ceil_sqrt(n) == y - hit)
+        assume(n >= 3)
+        a, c = _walk_shape(walk, n)
+        i, end = max(0, hit - before), hit + 1 + after
+        found = _scan(a, c, i, end)
+        assert found == _reference_scan(a, c, i, end)
+        assert found is not None and found[0] <= a + hit
+
+    def test_screen_caches_stay_bounded(self):
+        # keyed by (m, c % m) and by c & 63 with c odd, the tables need no
+        # eviction however many moduli a process walks
+        rng = random.Random(15)
+        moduli = {rng.randrange(1 << 40, 1 << 64) | 1 for _ in range(200)}
+        assert len(moduli) == 200
+        for n in moduli:
+            for walk in (fermat_factor, xscan_factor):
+                out = walk(n, Budget(max_iterations=_T + 200))
+                assert isinstance(out, BudgetExhausted)  # so every walk passed _T
+        assert 100 < _u_screen.cache_info().currsize <= 63 + 65 + 11
+        assert _step_table.cache_info().currsize <= 32
 
 
 class TestDriver:

@@ -25,8 +25,9 @@ def test_no_private_name_crosses_a_module_boundary():
 
 # loaded only by the subcommands that use them: the process pool where
 # `bench --workers N` builds it, bench and statistics by `bench`, semiprimes
-# by `generate` and `bench`
-_LAZY = ("sqfactor.bench", "sqfactor.semiprimes", "statistics")
+# by `generate` and `bench`, and decimal only for integer text past the
+# 4300-digit int/str limit
+_LAZY = ("decimal", "sqfactor.bench", "sqfactor.semiprimes", "statistics")
 
 
 def _lazy_among(modules) -> list:
