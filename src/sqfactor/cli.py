@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import warnings
 from typing import List, Optional
@@ -82,6 +81,7 @@ def _budget_from(args) -> Budget:
 
 
 def _emit_json(obj) -> int:
+    import json  # not loaded by a factor/xscan run without --json
     json.dump(obj, sys.stdout)
     sys.stdout.write("\n")
     return _EXIT_OK
@@ -104,9 +104,12 @@ def _os_error_text(exc: OSError) -> str:
 
 def _load_checkpoint(path: str):
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read checkpoint file: {_os_error_text(exc)}")
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read checkpoint file: {shown(path)} is not UTF-8 text")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"checkpoint file {shown(path)} is empty")
@@ -202,6 +205,7 @@ def _run_split(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    import json
     from .semiprimes import SemiprimeSpec, generate  # not loaded by factor/xscan runs
     if not 0 <= args.seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")  # only the --count advance wraps
@@ -234,6 +238,7 @@ class _OutFile:
 
 
 def _cmd_bench(args) -> int:
+    import json
     from .bench import SkippedWindow, record_to_json, run_study, scaling_summary
     gaps = _parse_gaps(args.gaps)
     methods = tuple(args.methods.split(","))

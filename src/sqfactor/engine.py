@@ -20,6 +20,14 @@ y = (n+1)/2 (p = 1, q = n), so a search that reaches it proves there is
 no nontrivial split and the input behaves prime.  That bound makes the
 unbudgeted search total.
 
+The state records SearchState, XScanState, Budget and NormalizedInput
+share one small __slots__ base, _Record, so that importing the engine
+does not import dataclasses.  Their public constructors validate
+outside input once.  States the engine derives itself (init_search,
+step, parse_checkpoint once it has checked its tokens, and the
+resumable state of a spent budget) are built by _Record._trusted,
+which does not re-derive ceil_sqrt(n) or the deficit.
+
 Searches take an optional Budget and return a FactorOutcome sum type:
 Found, NoNontrivialFactor, or BudgetExhausted carrying a resumable
 state, each a NamedTuple, never equal across types.  Resuming an
@@ -53,7 +61,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -115,21 +122,56 @@ def _require_start(n: int, y0: int) -> None:
         raise ValueError("y0 must equal ceil_sqrt(n)")
 
 
-@dataclass(frozen=True)
-class SearchState:
+class _Record:
+    """Immutable record whose fields are its __slots__: equal only to a
+    record of its own type, hashed by its fields and printed as
+    Name(field=value, ...).  Pickle and copy rebuild it through its
+    validating constructor; _trusted builds it without checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)  # past __setattr__ below, which refuses
+        return self
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SearchState(_Record):
     """Snapshot of the y-walk: candidate y = y0 + k is the next to examine."""
 
-    n: int
-    y0: int
-    k: int
-    d: int
+    __slots__ = __match_args__ = ("n", "y0", "k", "d")
 
-    def __post_init__(self):
-        _require_start(self.n, self.y0)
-        _require_count("k", self.k)
-        _require_count("d", self.d)
-        if self.d != (self.y0 + self.k) ** 2 - self.n:
+    def __new__(cls, n: int, y0: int, k: int, d: int):
+        _require_start(n, y0)
+        _require_count("k", k)
+        _require_count("d", d)
+        if d != (y0 + k) ** 2 - n:
             raise ValueError("d must equal (y0 + k)**2 - n")
+        return cls._trusted(n, y0, k, d)
 
     @property
     def iterations(self) -> int:
@@ -137,17 +179,15 @@ class SearchState:
         return self.k
 
 
-@dataclass(frozen=True)
-class XScanState:
+class XScanState(_Record):
     """Snapshot of the x-walk: candidate half-gap x is the next to examine."""
 
-    n: int
-    y0: int
-    x: int
+    __slots__ = __match_args__ = ("n", "y0", "x")
 
-    def __post_init__(self):
-        _require_start(self.n, self.y0)
-        _require_count("x", self.x)
+    def __new__(cls, n: int, y0: int, x: int):
+        _require_start(n, y0)
+        _require_count("x", x)
+        return cls._trusted(n, y0, x)
 
     @property
     def iterations(self) -> int:
@@ -173,8 +213,7 @@ class BudgetExhausted(NamedTuple):
 FactorOutcome = Union[Found, NoNontrivialFactor, BudgetExhausted]
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Record):
     """Bounds on one search call.
 
     max_iterations counts candidates examined by this call (resuming
@@ -183,23 +222,26 @@ class Budget:
     positive.  None means unbounded.
     """
 
-    max_iterations: Optional[int] = None
-    max_seconds: Optional[float] = None
+    __slots__ = __match_args__ = ("max_iterations", "max_seconds")
 
-    def __post_init__(self):
-        if self.max_iterations is not None:
-            _require_count("max_iterations", self.max_iterations)
-        seconds = self.max_seconds
-        if seconds is not None and (
-            isinstance(seconds, bool)
-            or not isinstance(seconds, (int, float))
-            or not 0 < seconds <= sys.float_info.max
+    def __new__(cls, max_iterations: Optional[int] = None, max_seconds: Optional[float] = None):
+        if max_iterations is not None:
+            _require_count("max_iterations", max_iterations)
+        if max_seconds is not None and (
+            isinstance(max_seconds, bool)
+            or not isinstance(max_seconds, (int, float))
+            or not 0 < max_seconds <= sys.float_info.max
         ):
-            raise ValueError(f"max_seconds must be finite and positive, got {shown(seconds)}")
+            raise ValueError(f"max_seconds must be finite and positive, got {shown(max_seconds)}")
+        return cls._trusted(max_iterations, max_seconds)
 
 
 def _y_state(n: int, y0: int, k: int) -> SearchState:
-    return SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
+    # trusted: every caller has already checked n, y0 and k
+    return SearchState._trusted(n, y0, k, (y0 + k) ** 2 - n)
+
+
+_x_state = XScanState._trusted  # (n, y0, x), trusted like _y_state
 
 
 def init_search(n: int) -> SearchState:
@@ -209,12 +251,8 @@ def init_search(n: int) -> SearchState:
 
 def step(state: SearchState) -> SearchState:
     """Advance one candidate using the additive deficit recurrence."""
-    return SearchState(
-        n=state.n,
-        y0=state.y0,
-        k=state.k + 1,
-        d=state.d + 2 * state.y0 + 2 * state.k + 1,
-    )
+    n, y0, k, d = state.n, state.y0, state.k, state.d
+    return SearchState._trusted(n, y0, k + 1, d + 2 * y0 + 2 * k + 1)
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -238,7 +276,10 @@ def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
         fields[key] = str_to_int(value)
     keys = set(fields)
     if keys == {"n", "y0", "k"}:
-        return _y_state(fields["n"], fields["y0"], fields["k"])
+        n, y0, k = fields["n"], fields["y0"], fields["k"]
+        _require_start(n, y0)
+        _require_count("k", k)
+        return _y_state(n, y0, k)
     if keys == {"n", "y0", "x"}:
         return XScanState(n=fields["n"], y0=fields["y0"], x=fields["x"])
     raise ValueError(
@@ -268,13 +309,18 @@ def _walk(
     stop = abs(c - 1) // 2 - a + 1  # one past the trivial representation
     if start >= stop:
         raise ValueError("state is past the trivial representation; nothing left to scan")
-    deadline = None
+    deadline = next_report = None
     if budget is not None:
+        if not isinstance(budget, Budget):
+            raise ValueError(f"budget must be a Budget or None, got {type(budget).__name__}")
         if budget.max_iterations is not None:
             stop = min(stop, start + budget.max_iterations)
         if budget.max_seconds is not None:
             deadline = time.perf_counter() + budget.max_seconds
-    next_report = time.perf_counter() + _PROGRESS_INTERVAL if progress else None
+    if progress is not None:
+        if not callable(progress):
+            raise ValueError(f"progress must be callable or None, got {type(progress).__name__}")
+        next_report = time.perf_counter() + _PROGRESS_INTERVAL
 
     i = start
     while i < stop:
@@ -430,7 +476,7 @@ def xscan_factor(
     same (p, q) pair as fermat_factor, generally after a different
     number of iterations (iterations counts x candidates here).
     """
-    return _walk(XScanState, n, _start_root(n), 0, n, 0, budget, progress)
+    return _walk(_x_state, n, _start_root(n), 0, n, 0, budget, progress)
 
 
 def resume_xscan(
@@ -441,21 +487,22 @@ def resume_xscan(
     """Continue an exhausted x-walk; examines candidates x, x+1, ..."""
     if not isinstance(state, XScanState):
         raise ValueError(f"resume_xscan needs an XScanState, got {type(state).__name__}")
-    return _walk(XScanState, state.n, state.y0, 0, state.n, state.x, budget, progress)
+    return _walk(_x_state, state.n, state.y0, 0, state.n, state.x, budget, progress)
 
 
 # --- input normalization ------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizedInput:
+class NormalizedInput(_Record):
     """n = 2**two_exponent * residual with residual odd.
 
     residual == 1 means the factorization is complete (n was a power of
     two); otherwise residual is an odd number >= 3 ready for the engine.
     """
 
-    two_exponent: int
-    residual: int
+    __slots__ = __match_args__ = ("two_exponent", "residual")
+
+    def __new__(cls, two_exponent: int, residual: int):
+        return cls._trusted(two_exponent, residual)
 
     @property
     def is_fully_factored(self) -> bool:

@@ -27,8 +27,9 @@ it draws random witnesses from the caller's generator.
 
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
 without CPython's 4300-digit int/str limit: they try ``str``/``int``
-first, and past the limit ``decimal.Decimal``, imported only then,
-converts exactly and is exempt, so no caller lifts the process-wide
+first.  Only when that fails does ``str_to_int`` check the syntax, and
+past the limit both convert through ``decimal.Decimal``, imported only
+then, which is exact and exempt, so no caller lifts the process-wide
 limit.  This module alone decides how an int becomes text: ``json_int``
 is the form a count takes in a JSON document, and ``shown`` is how an
 error message quotes a value that came from outside.
@@ -82,18 +83,19 @@ def str_to_int(text: str) -> int:
     >>> str_to_int(" +1_87 ")
     187
     """
+    try:
+        return int(text)
+    except ValueError:  # bad syntax, or valid syntax past the int/str digit limit
+        pass
     s = text.strip()
     digits = s[1:] if s[:1] in ("+", "-") else s
     # "".isdecimal() is False: a bare sign or an empty, leading, trailing or
     # doubled underscore fails, as do the point, exponent, nan and inf Decimal takes
     if not all(group.isdecimal() for group in digits.split("_")):
         raise ValueError(f"not a decimal integer: {shown(text)}")
-    try:
-        return int(s)
-    except ValueError:  # valid syntax, so only the int/str digit limit gets here
-        import decimal
+    import decimal
 
-        return int(decimal.Decimal(s.replace("_", "")))
+    return int(decimal.Decimal(s.replace("_", "")))
 
 
 def json_int(n: int):

@@ -7,7 +7,7 @@ import pytest
 
 from sqfactor.bench import record_from_json
 from sqfactor.cli import main, parse_modulus
-from sqfactor.numeric import ceil_sqrt
+from sqfactor.numeric import ceil_sqrt, shown
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,20 @@ class TestBudgetsAndResume:
         )
         assert code == 1
         assert "cannot read checkpoint file" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_resume_file_that_is_not_utf8(self, capsys, tmp_path, as_json):
+        # used to print only the codec's "can't decode byte 0xff in position 0"
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"\xff\xfe")
+        args = ("factor", "187", "--resume", str(ckpt)) + (("--json",) if as_json else ())
+        code, out, err = run_cli(capsys, *args)
+        message = f"cannot read checkpoint file: {shown(str(ckpt))} is not UTF-8 text"
+        assert code == 1
+        if as_json:
+            assert (json.loads(out), err) == ({"error": message}, "")
+        else:
+            assert (out, err) == ("", f"error: {message}\n")
 
     def test_exhaustion_on_even_input_checkpoints_residual(self, capsys):
         code, out, _ = run_cli(capsys, "factor", "11918", "--max-iterations", "1")

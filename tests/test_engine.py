@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -30,6 +31,7 @@ from sqfactor.engine import (
     _scan,
     _step_table,
     _u_screen,
+    _y_state,
     xscan_factor,
 )
 from sqfactor.numeric import ceil_sqrt, is_perfect_square
@@ -296,6 +298,26 @@ class TestBudgets:
         with pytest.raises(ValueError, match="max_seconds"):
             Budget(max_seconds=bad)
 
+    @pytest.mark.parametrize("walk", ["fermat_factor", "resume_fermat", "xscan_factor", "resume_xscan"])
+    def test_wrong_budget_or_progress_type_fails_before_the_walk(self, walk):
+        # both used to fail late: an int budget with an AttributeError, a
+        # non-callable progress with a TypeError at its first report
+        call = {
+            "fermat_factor": lambda *a: fermat_factor(187, *a),
+            "resume_fermat": lambda *a: resume_fermat(init_search(187), *a),
+            "xscan_factor": lambda *a: xscan_factor(187, *a),
+            "resume_xscan": lambda *a: resume_xscan(XScanState(n=187, y0=14, x=0), *a),
+        }[walk]
+        with pytest.raises(ValueError, match="budget must be a Budget or None, got int"):
+            call(5)
+        with pytest.raises(ValueError, match="budget must be a Budget or None, got dict"):
+            call({"max_iterations": 5})
+        with pytest.raises(ValueError, match="progress must be callable or None, got int"):
+            call(None, 7)
+        with pytest.raises(ValueError, match="progress must be callable or None, got str"):
+            call(Budget(max_seconds=1.0), "k")  # 187 splits at once: checked before the walk
+        assert call(Budget(max_iterations=10), print).p == 11
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Budget(max_iterations=-1)
@@ -457,6 +479,96 @@ class TestOutcomes:
         assert type(back) is BudgetExhausted and back == out
         assert type(back.resume) is type(out.resume)
         assert (resume_fermat if walk is fermat_factor else resume_xscan)(back.resume) == walk(5959)
+
+
+_RECORDS = [
+    (SearchState(n=187, y0=14, k=0, d=9), (187, 14, 0, 9), "SearchState(n=187, y0=14, k=0, d=9)"),
+    (XScanState(n=5959, y0=78, x=7), (5959, 78, 7), "XScanState(n=5959, y0=78, x=7)"),
+    (Budget(max_iterations=10), (10, None), "Budget(max_iterations=10, max_seconds=None)"),
+    (Budget(max_seconds=1.5), (None, 1.5), "Budget(max_iterations=None, max_seconds=1.5)"),
+    (NormalizedInput(two_exponent=2, residual=3), (2, 3), "NormalizedInput(two_exponent=2, residual=3)"),
+]
+_IDS = ["SearchState", "XScanState", "Budget-iterations", "Budget-seconds", "NormalizedInput"]
+
+
+class TestRecords:
+    # the four state records were frozen dataclasses; this pins what callers saw of them
+    @pytest.mark.parametrize("record, values, text", _RECORDS, ids=_IDS)
+    def test_repr_is_the_dataclass_repr(self, record, values, text):
+        assert repr(record) == text
+        assert repr(BudgetExhausted(3, record)) == f"BudgetExhausted(iterations=3, resume={text})"
+
+    @pytest.mark.parametrize("record, values, text", _RECORDS, ids=_IDS)
+    def test_equal_only_to_the_same_type(self, record, values, text):
+        twin = type(record)(*values)
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin)
+        assert record != values and values != record
+        for other, _, _ in _RECORDS:
+            if type(other) is not type(record):
+                assert record != other
+        with pytest.raises(TypeError):
+            record < twin
+
+    def test_records_of_other_types_differ(self):
+        assert Budget(max_iterations=2, max_seconds=3) != NormalizedInput(2, 3)
+        assert XScanState(n=187, y0=14, x=0) != fermat_factor(187, Budget(max_iterations=0)).resume
+
+    @pytest.mark.parametrize("record, values, text", _RECORDS, ids=_IDS)
+    def test_fields_cannot_be_assigned_or_added(self, record, values, text):
+        name = text[text.index("(") + 1 : text.index("=")]  # the first field
+        with pytest.raises(AttributeError):
+            setattr(record, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record, values, text", _RECORDS, ids=_IDS)
+    def test_pickle_and_copy_round_trips(self, record, values, text):
+        for back in (
+            pickle.loads(pickle.dumps(record)),
+            pickle.loads(pickle.dumps(record, protocol=0)),
+            copy.copy(record),
+            copy.deepcopy(record),
+        ):
+            assert type(back) is type(record) and back == record and repr(back) == text
+
+    def test_pickle_rebuilds_through_validation(self):
+        # a payload naming an inconsistent state is refused, not loaded
+        bad = pickle.dumps(SearchState._trusted(187, 14, 0, 10))
+        with pytest.raises(ValueError, match="d must equal"):
+            pickle.loads(bad)
+
+    def test_match_by_position(self):
+        match init_search(187):
+            case SearchState(n, y0, k, d):
+                assert (n, y0, k, d) == (187, 14, 0, 9)
+
+    @given(odd_moduli, st.integers(min_value=0, max_value=80))
+    @settings(max_examples=100)
+    def test_trusted_paths_equal_the_validated_state(self, n, k):
+        y0 = ceil_sqrt(n)
+        public = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
+        stepped = init_search(n)
+        for _ in range(k):
+            stepped = step(stepped)
+        trusted = (
+            SearchState._trusted(n, y0, k, public.d),
+            _y_state(n, y0, k),
+            parse_checkpoint(checkpoint_line(public)),
+            stepped,
+        )
+        for state in trusted:
+            assert type(state) is SearchState
+            assert state == public and hash(state) == hash(public) and repr(state) == repr(public)
+        out = fermat_factor(n, Budget(max_iterations=k))
+        if isinstance(out, BudgetExhausted):
+            assert out.resume == public
+        out = xscan_factor(n, Budget(max_iterations=k))
+        if isinstance(out, BudgetExhausted):
+            assert out.resume == XScanState(n=n, y0=y0, x=k)
 
 
 class TestCheckpoints:

@@ -1,6 +1,7 @@
 """Modules of the package share only public names with each other."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,9 +26,13 @@ def test_no_private_name_crosses_a_module_boundary():
 
 # loaded only by the subcommands that use them: the process pool where
 # `bench --workers N` builds it, bench and statistics by `bench`, semiprimes
-# by `generate` and `bench`, and decimal only for integer text past the
+# (and with them dataclasses and inspect) by `generate` and `bench`, json
+# only for JSON output, and decimal only for integer text past the
 # 4300-digit int/str limit
-_LAZY = ("decimal", "sqfactor.bench", "sqfactor.semiprimes", "statistics")
+_LAZY = (
+    "dataclasses", "decimal", "inspect", "json",
+    "sqfactor.bench", "sqfactor.semiprimes", "statistics",
+)
 
 
 def _lazy_among(modules) -> list:
@@ -55,3 +60,11 @@ def test_cli_import_loads_no_process_pool():
     }
     assert {"sqfactor.cli", "sqfactor.engine"} <= loaded
     assert _lazy_among(loaded) == []
+
+
+def test_factor_json_process_prints_one_document():
+    run = subprocess.run(
+        [sys.executable, "-m", "sqfactor", "factor", "187", "--json"],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert json.loads(run.stdout)["p"] == "11"
