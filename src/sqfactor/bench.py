@@ -159,6 +159,8 @@ def run_study(
     An infeasible rung raises a ``SkippedWindow`` warning and is skipped;
     the rest proceeds.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {shown(workers)}")
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:

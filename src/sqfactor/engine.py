@@ -43,17 +43,19 @@ square s*s, which yields y = s directly.  Both scans return identical
 Both walks seek the first j for which (a + j)**2 + c is a perfect
 square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
 One kernel, _scan, runs that search over j in i, ..., end - 1.  It
-takes an exact root only of candidates that can be squares modulo 64,
-63, 65 and 11.  Below index _T it carries t = (a + j)**2 + c and
-screens t; from _T on it screens u = a + j by its residues modulo the
-four, all small ints, and builds t only for a u that passes.  That
+steps u = a + j from one value to the next that one mod-64 step table
+allows, and takes an exact root only of candidates that can also be
+squares modulo 63, 65 and 11.  Below index _T it carries t = u*u + c
+and screens t; from _T on it screens u by its residues modulo the
+three, all small ints, and builds t only for a u that passes.  That
 saves the big-int work per candidate on a long walk, and a tiny split,
 over before _T, skips the set-up of the u-screens.  The driver, _walk,
 calls the kernel once per slice of _SLICE candidates and owns
 everything else: the stop index a budget sets, the deadline and the
-progress callback (both serviced between slices only, so the kernel
-reads no clock), the bound at the trivial representation, and turning
-a hit or a spent budget into an outcome.
+progress callback (both serviced after each finished slice, in one
+block that reads the clock once, so the kernel reads no clock), the
+bound at the trivial representation, and turning a hit or a spent
+budget into an outcome.
 """
 
 from __future__ import annotations
@@ -309,7 +311,7 @@ def _walk(
     stop = abs(c - 1) // 2 - a + 1  # one past the trivial representation
     if start >= stop:
         raise ValueError("state is past the trivial representation; nothing left to scan")
-    deadline = next_report = None
+    deadline = next_report = math.inf
     if budget is not None:
         if not isinstance(budget, Budget):
             raise ValueError(f"budget must be a Budget or None, got {type(budget).__name__}")
@@ -334,33 +336,24 @@ def _walk(
                 return NoNontrivialFactor(u - a)
             return Found(y - x, y + x, y - y0, u - a)
         i = end
-        if deadline is not None or next_report is not None:
-            now = time.perf_counter()
-            if deadline is not None and now > deadline:
-                break
-            if next_report is not None and now >= next_report:
-                progress(i)
-                next_report = now + _PROGRESS_INTERVAL
+        now = time.perf_counter()
+        if now > deadline:
+            break
+        if now >= next_report:
+            progress(i)
+            next_report = now + _PROGRESS_INTERVAL
     return BudgetExhausted(i, new_state(n, y0, i))
-
-
-@lru_cache(maxsize=None)
-def _jump_table(c_mod_64: int) -> tuple:
-    """Distance from each u mod 64 to the next u for which u*u + c can be
-    a square mod 64; 0 where u itself can."""
-    sq64 = SQUARE_RESIDUES[64]
-    allowed = [v for v in range(64) if sq64[(v * v + c_mod_64) % 64]]
-    # both walks end at the trivial representation, a square, so the
-    # allowed set is never empty and every distance is finite
-    return tuple(min((v - r) % 64 for v in allowed) for r in range(64))
 
 
 @lru_cache(maxsize=None)
 def _step_table(c_mod_64: int) -> tuple:
     """Distance from each u mod 64 to the next u' > u for which u'*u' + c
     can be a square mod 64."""
-    jumps = _jump_table(c_mod_64)
-    return tuple(1 + jumps[(r + 1) & 63] for r in range(64))
+    sq64 = SQUARE_RESIDUES[64]
+    allowed = [v for v in range(64) if sq64[(v * v + c_mod_64) % 64]]
+    # both walks end at the trivial representation, a square, so the
+    # allowed set is never empty and every distance is at most 64
+    return tuple(1 + min((v - r - 1) % 64 for v in allowed) for r in range(64))
 
 
 @lru_cache(maxsize=None)  # keys (m, c % m): at most 63 + 65 + 11 of them
@@ -372,40 +365,36 @@ def _u_screen(m: int, c_mod_m: int) -> bytes:
 
 def _scan(a: int, c: int, i: int, end: int) -> Optional[tuple]:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
-    r*r, or None; values the mod-64 jump table rules out are skipped.
+    r*r, or None.
 
-    Below walk index _T the loop carries t = u*u + c and screens t; from
-    _T on it screens u mod 64, 63, 65 and 11, small ints, and builds t
-    only for a u that passes all four.  Both admit exactly the same u.
+    Both stages step u from one value the mod-64 step table allows to
+    the next, so they examine the same u and differ only in what they
+    screen.  Below walk index _T the loop carries t = u*u + c and
+    screens t mod 63, 65 and 11; from _T on it screens u mod 63, 65
+    and 11, small ints, and builds t only for a u that passes all three.
     """
-    jumps = _jump_table(c & 63)  # c mod 64, also for negative c
+    steps = _step_table(c & 63)  # c mod 64, also for negative c
     if i < _T:
         sq63, sq65, sq11 = _SCREENS
-        u = a + i
+        u = a + i - 1
+        u += steps[u & 63]  # the first allowed u >= a + i
         u_end = a + end if end < _T else a + _T
         t = u * u + c
         while u < u_end:
-            jump = jumps[u & 63]
-            if jump:
-                if u + jump >= u_end:
-                    break
-                t += jump * (2 * u + jump)
-                u += jump
-            # u is in an allowed residue class; t passed the mod-64 screen
             if sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
                 r = math.isqrt(t)
                 if r * r == t:
                     return u, r
-            t += 2 * u + 1
-            u += 1
+            s = steps[u & 63]
+            t += s * (2 * u + s)
+            u += s
         if end <= _T:
             return None
         i = _T
-    steps = _step_table(c & 63)
     s63, s65, s11 = _u_screen(63, c % 63), _u_screen(65, c % 65), _u_screen(11, c % 11)
     u0 = a + i  # u = u0 + v with v < end - i, so u % m == (v + u0 % m) % m
     o64, o63, o65, o11 = u0 & 63, u0 % 63, u0 % 65, u0 % 11
-    v = jumps[o64]
+    v = steps[(o64 - 1) & 63] - 1  # the first allowed v >= 0
     end -= i
     while v < end:
         if s63[(v + o63) % 63] and s65[(v + o65) % 65] and s11[(v + o11) % 11]:

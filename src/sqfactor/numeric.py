@@ -23,7 +23,8 @@ The square detector is split in two layers:
 the witness primes 2..41 screens out their multiples, and a survivor
 runs only the first k of those witnesses, the fewest that the known
 smallest strong pseudoprimes prove exact for its size.  Above the bound
-it draws random witnesses from the caller's generator.
+it draws random witnesses from the caller's generator, or from
+``random``, imported only then, when the caller passes none.
 
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
 without CPython's 4300-digit int/str limit: they try ``str``/``int``
@@ -38,7 +39,6 @@ error message quotes a value that came from outside.
 from __future__ import annotations
 
 import math
-import random
 from typing import NamedTuple, Optional
 
 
@@ -216,7 +216,7 @@ def _mr_witness_passes(n: int, d: int, r: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rng=random) -> bool:
+def is_probable_prime(n: int, rng=None) -> bool:
     """Miller-Rabin primality test.
 
     Exact for n below about 3.3e24.  There one gcd with the product of
@@ -227,7 +227,8 @@ def is_probable_prime(n: int, rng=random) -> bool:
     the bound, a fixed 24 random witnesses give an error probability of
     at most 4**-24 for composite n.  ``rng`` only needs a ``randrange``
     method and is consulted only above the deterministic bound, so
-    results below it never depend on it.
+    results below it never depend on it; None there means the
+    ``random`` module, imported only then.
     """
     if n < _DETERMINISTIC_BOUND:
         if n < 43:
@@ -239,6 +240,8 @@ def is_probable_prime(n: int, rng=random) -> bool:
     elif n % 2 == 0:
         return False
     else:
+        if rng is None:
+            import random as rng
         witnesses = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
     d = n - 1
     r = 0

@@ -280,6 +280,8 @@ class TestRunStudy:
             run_study(bits=16, gaps=[4], seed=0, methods=("fermat", "rho"))
         with pytest.raises(ValueError):
             run_study(bits=16, gaps=[4], seed=0, methods=())
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_study(bits=16, gaps=[4], seed=0, workers=0)
 
 
 def _rec(gap, iterations, n_bits=32, method="fermat", outcome="found"):

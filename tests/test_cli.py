@@ -529,7 +529,10 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--methods", "rho"), ("--bits", "2"), ("--seed", "-1"), ("--gaps", "64,8")],
+        [
+            ("--methods", "rho"), ("--bits", "2"), ("--seed", "-1"), ("--gaps", "64,8"),
+            ("--workers", "0"), ("--workers", "-3"),
+        ],
     )
     def test_usage_error_leaves_out_untouched(self, capsys, tmp_path, flag, value):
         out_path = tmp_path / "records.jsonl"

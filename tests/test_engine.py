@@ -419,7 +419,7 @@ class TestXScan:
             resume_xscan(XScanState(n=17, y0=5, x=9))
 
     def test_matches_single_step_reference_walk(self):
-        # the production loop skips half-gaps the mod-64 jump table rules
+        # the production loop skips half-gaps the mod-64 step table rules
         # out; a plain walk over every x must see the same outcome
         rng = random.Random(29)
         for n in [rng.randrange(9, 1 << 34) | 1 for _ in range(150)]:
@@ -708,6 +708,19 @@ def _walk_shape(walk, n):
     return (ceil_sqrt(n), -n) if walk == "y" else (0, n)
 
 
+def _planted(walk, hit):
+    # (a, c) of an odd n whose walk first hits at the small index `hit`
+    if walk == "x":
+        gap = (1 << 61) - 1  # n + hit**2 == (hit + gap)**2
+        n = gap * (2 * hit + gap)
+    else:
+        y = (1 << 80) + 1
+        x = ceil_sqrt(2 * y * hit - hit * hit)  # so y - ceil_sqrt(y*y - x*x) == hit
+        x += (y - x + 1) % 2  # y and x of opposite parity make n odd
+        n = y * y - x * x
+    return _walk_shape(walk, n)
+
+
 # window starts below, at and past _T, next to a slice multiple, and far out
 _window_starts = st.one_of(
     st.integers(min_value=0, max_value=3 * _T),
@@ -772,6 +785,20 @@ class TestKernel:
         assert 100 < _u_screen.cache_info().currsize <= 63 + 65 + 11
         assert _step_table.cache_info().currsize <= 32
 
+    @pytest.mark.parametrize("walk", "yx")
+    def test_every_window_around_the_stage_switch(self, walk):
+        # every [i, end) up to two mod-64 periods past _T: each entry residue
+        # of stage 1, each _T crossing and each hit position, on RSA-100
+        # (no hit this early) and on moduli planted to hit at a given index
+        cases = [(_walk_shape(walk, load_rsa100()), None)]
+        cases += [(_planted(walk, hit), hit) for hit in (5, _T - 1, _T, 100)]
+        for (a, c), hit in cases:
+            if hit is not None:
+                assert _reference_scan(a, c, 0, hit + 1)[0] == a + hit
+            for end in range(2 * _T + 3):
+                for i in range(end + 1):
+                    assert _scan(a, c, i, end) == _reference_scan(a, c, i, end), (i, end)
+
 
 class TestDriver:
     @pytest.mark.parametrize("method", sorted(_WALKS))
@@ -811,7 +838,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("method", sorted(_WALKS))
     def test_resume_near_2_40_at_every_residue(self, method):
-        # the jump table is keyed by c mod 64 (c = -n on the y-walk, n on
+        # the step table is keyed by c mod 64 (c = -n on the y-walk, n on
         # the x-walk) and indexed by u mod 64: open a window at every u
         # mod 64, on moduli with a hit inside it and on one without
         resume = _WALKS[method][1]
@@ -824,6 +851,21 @@ class TestDriver:
             for start in range(hit - 100, hit - 36):
                 state = plain(n, start, 0).resume
                 assert resume(state, Budget(max_iterations=200)) == plain(n, start, 200)
+
+    @pytest.mark.parametrize("method", sorted(_WALKS))
+    def test_deadline_and_progress_are_serviced_between_slices(self, method):
+        # resumed off a slice multiple, every count the driver shows (each
+        # progress report and where the deadline stopped it) is a whole
+        # number of slices past the checkpoint
+        n, k0 = load_rsa100(), (1 << 40) + 7
+        key = "k" if method == "fermat" else "x"
+        state = parse_checkpoint(f"n={n} y0={ceil_sqrt(n)} {key}={k0}")
+        counts = []
+        out = _WALKS[method][1](state, Budget(max_seconds=1.5), counts.append)
+        assert isinstance(out, BudgetExhausted)
+        assert counts, "a 1.5 s walk reports progress at least once"
+        for count in counts + [out.iterations]:
+            assert count > k0 and (count - k0) % _SLICE == 0, count
 
     def test_progress_counts_increase_within_the_walk(self):
         counts = []

@@ -39,6 +39,20 @@ def _lazy_among(modules) -> list:
     return sorted(m for m in modules if m in _LAZY or m.split(".")[0] == "multiprocessing")
 
 
+def _factor_process_loads(*flags) -> set:
+    # a whole `factor` process; -X importtime names every module it loads on stderr
+    run = subprocess.run(
+        [sys.executable, *flags, "-X", "importtime", "-m", "sqfactor", "factor", "187"],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert run.stdout == "p=11 q=17 k=0 iterations=0\n"
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def test_cli_import_loads_no_process_pool():
     probe = "import sys, sqfactor.cli; print(*sys.modules, sep='\\n')"
     out = subprocess.run(
@@ -47,17 +61,7 @@ def test_cli_import_loads_no_process_pool():
     ).stdout
     assert _lazy_among(out.splitlines()) == []
 
-    # a whole `factor` process; -X importtime names every module it loads on stderr
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "sqfactor", "factor", "187"],
-        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
-    )
-    assert run.stdout == "p=11 q=17 k=0 iterations=0\n"
-    loaded = {
-        line.rsplit("|", 1)[1].strip()
-        for line in run.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    loaded = _factor_process_loads()
     assert {"sqfactor.cli", "sqfactor.engine"} <= loaded
     assert _lazy_among(loaded) == []
 
@@ -68,3 +72,12 @@ def test_factor_json_process_prints_one_document():
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
     assert json.loads(run.stdout)["p"] == "11"
+
+
+def test_factor_process_without_site_loads_no_random():
+    # -S keeps site from preloading modules, so this sees what the package
+    # itself imports; random is needed only for a primality test past the
+    # deterministic bound with no generator given
+    loaded = _factor_process_loads("-S")
+    assert "sqfactor.numeric" in loaded
+    assert "random" not in loaded
