@@ -30,7 +30,7 @@ from .engine import (
     fermat_factor,
     xscan_factor,
 )
-from .numeric import ceil_sqrt, int_to_str, json_int, shown, str_to_int
+from .numeric import ceil_sqrt, int_to_str, json_int, require_int, shown, str_to_int
 from .semiprimes import FeasibilityError, generate_in_window, ladder_windows, rung_seeds
 
 METHODS = ("fermat", "xscan")
@@ -81,6 +81,8 @@ def record_from_json(line: str) -> BenchRecord:
     """Inverse of record_to_json; an int field is an int or a decimal string
     (a float or a boolean raises ValueError rather than being truncated)."""
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a bench record must be a JSON object, got {shown(line)}")
     values = {}
     for name, convert, optional in _FIELDS:
         value = obj.get(name) if optional else obj[name]
@@ -159,8 +161,7 @@ def run_study(
     An infeasible rung raises a ``SkippedWindow`` warning and is skipped;
     the rest proceeds.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {shown(workers)}")
+    require_int("workers", workers, 1)
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:

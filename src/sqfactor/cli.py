@@ -28,7 +28,7 @@ from .engine import (
     resume_xscan,
     xscan_factor,
 )
-from .numeric import int_to_str, json_int, shown, str_to_int
+from .numeric import int_to_str, json_int, require_int, shown, str_to_int
 
 DEFAULT_MAX_ITERATIONS = 10**8  # library default is unlimited; the CLI is not
 
@@ -55,9 +55,7 @@ def parse_modulus(text: str) -> int:
         value = int(s, 16) if s[:2].lower() == "0x" else str_to_int(s)
     except (ValueError, IndexError):
         raise ValueError(f"modulus {shown(text)} is not a decimal or 0x-hex integer")
-    if value < 0:
-        raise ValueError("modulus must be nonnegative")
-    return value
+    return require_int("modulus", value)
 
 
 def _int_arg(text: str) -> int:
@@ -206,17 +204,13 @@ def _run_split(args) -> int:
 
 def _cmd_generate(args) -> int:
     import json
+    from dataclasses import replace
     from .semiprimes import SemiprimeSpec, generate  # not loaded by factor/xscan runs
-    if not 0 <= args.seed <= _MASK64:
-        raise ValueError("seed must fit in 64 bits")  # only the --count advance wraps
-    if args.count < 0:
-        raise ValueError(f"count must be >= 0, got {shown(args.count)}")
-    items = []
-    for i in range(args.count):
-        spec = SemiprimeSpec(
-            bits=args.bits, max_gap=args.max_gap, seed=(args.seed + i) & _MASK64
-        )
-        items.append(generate(spec).as_json_dict())
+    spec = SemiprimeSpec(args.bits, args.max_gap, args.seed)  # checked even for --count 0
+    items = [  # only the --count advance wraps
+        generate(replace(spec, seed=(spec.seed + i) & _MASK64)).as_json_dict()
+        for i in range(require_int("count", args.count))
+    ]
     if args.json:
         return _emit_json(items)
     for obj in items:
@@ -290,12 +284,9 @@ def _cmd_bench(args) -> int:
 
 def _parse_gaps(text: str) -> List[int]:
     try:
-        gaps = [str_to_int(part) for part in text.split(",") if part != ""]
+        return [str_to_int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(f"gaps {shown(text)} must be comma-separated integers")
-    if not gaps:
-        raise ValueError("gaps list is empty")
-    return gaps
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:

@@ -66,7 +66,9 @@ import time
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
-from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, shown, str_to_int
+from .numeric import (
+    SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, require_int, shown, str_to_int
+)
 
 __all__ = [
     "Budget",
@@ -111,15 +113,8 @@ def _start_root(n: int) -> int:
     return ceil_sqrt(n)
 
 
-def _require_count(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {shown(value)}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-
-
 def _require_start(n: int, y0: int) -> None:
-    _require_count("y0", y0)
+    require_int("y0", y0)
     if y0 != _start_root(n):
         raise ValueError("y0 must equal ceil_sqrt(n)")
 
@@ -169,8 +164,8 @@ class SearchState(_Record):
 
     def __new__(cls, n: int, y0: int, k: int, d: int):
         _require_start(n, y0)
-        _require_count("k", k)
-        _require_count("d", d)
+        require_int("k", k)
+        require_int("d", d)
         if d != (y0 + k) ** 2 - n:
             raise ValueError("d must equal (y0 + k)**2 - n")
         return cls._trusted(n, y0, k, d)
@@ -188,7 +183,7 @@ class XScanState(_Record):
 
     def __new__(cls, n: int, y0: int, x: int):
         _require_start(n, y0)
-        _require_count("x", x)
+        require_int("x", x)
         return cls._trusted(n, y0, x)
 
     @property
@@ -228,7 +223,7 @@ class Budget(_Record):
 
     def __new__(cls, max_iterations: Optional[int] = None, max_seconds: Optional[float] = None):
         if max_iterations is not None:
-            _require_count("max_iterations", max_iterations)
+            require_int("max_iterations", max_iterations)
         if max_seconds is not None and (
             isinstance(max_seconds, bool)
             or not isinstance(max_seconds, (int, float))
@@ -280,7 +275,7 @@ def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
     if keys == {"n", "y0", "k"}:
         n, y0, k = fields["n"], fields["y0"], fields["k"]
         _require_start(n, y0)
-        _require_count("k", k)
+        require_int("k", k)
         return _y_state(n, y0, k)
     if keys == {"n", "y0", "x"}:
         return XScanState(n=fields["n"], y0=fields["y0"], x=fields["x"])
@@ -445,7 +440,7 @@ def predict_k(n: int, x: int) -> Optional[int]:
     otherwise (including roots below the search start, i.e. negative k).
     """
     y0 = _start_root(n)
-    _require_count("x", x)
+    require_int("x", x)
     test = is_perfect_square(n + x * x)
     if not test.is_square:
         return None

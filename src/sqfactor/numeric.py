@@ -33,7 +33,8 @@ past the limit both convert through ``decimal.Decimal``, imported only
 then, which is exact and exempt, so no caller lifts the process-wide
 limit.  This module alone decides how an int becomes text: ``json_int``
 is the form a count takes in a JSON document, and ``shown`` is how an
-error message quotes a value that came from outside.
+error message quotes a value that came from outside.  ``require_int``
+decides what an integer argument from outside is.
 """
 
 from __future__ import annotations
@@ -129,6 +130,20 @@ def shown(value) -> str:
     if len(text) <= 40:
         return repr(value)
     return f"{text[:24]!r}... ({len(text)} characters)"
+
+
+def require_int(name: str, value, lo: int = 0) -> int:
+    """value if it is an int, not a bool, and at least lo; else a ValueError naming it.
+
+    >>> require_int("workers", 0, 1)
+    Traceback (most recent call last):
+    ValueError: workers must be >= 1, got 0
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {shown(value)}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {shown(value)}")
+    return value
 
 
 class SquareTestResult(NamedTuple):

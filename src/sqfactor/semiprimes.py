@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from .numeric import int_to_str, is_probable_prime, shown
+from .numeric import int_to_str, is_probable_prime, require_int, shown
 
 _MASK64 = (1 << 64) - 1
 
@@ -39,6 +39,12 @@ MAX_ATTEMPTS = 100_000
 _WALK_LIMIT = 10_000
 
 
+def _require_seed(seed) -> int:  # the one seed rule: an int, not a bool, in [0, 2**64)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
+
+
 class SplitMix64:
     """The splitmix 64-bit PRNG; deterministic across platforms."""
 
@@ -47,9 +53,7 @@ class SplitMix64:
     MIX_MULT_2 = 0x94D049BB133111EB
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
-        self._state = seed
+        self._state = _require_seed(seed)
 
     def next_word(self) -> int:
         self._state = (self._state + self.GOLDEN_GAMMA) & _MASK64
@@ -60,8 +64,7 @@ class SplitMix64:
 
     def bits(self, count: int) -> int:
         """count random bits, little-endian word order."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        require_int("count", count)
         out = 0
         filled = 0
         while filled < count:
@@ -93,12 +96,9 @@ class SemiprimeSpec:
     seed: int
 
     def __post_init__(self):
-        if self.bits < 4:
-            raise ValueError("bits must be >= 4")
-        if self.max_gap < 0:
-            raise ValueError("max_gap must be >= 0")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
+        require_int("bits", self.bits, 4)
+        require_int("max_gap", self.max_gap)
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,9 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
     even gap above 0 (p and q are odd), and when MAX_ATTEMPTS restart
     rounds cannot satisfy the request.
     """
-    if bits < 4:
-        raise ValueError("bits must be >= 4")
-    if not 0 <= gap_lo <= gap_hi:
-        raise ValueError("need 0 <= gap_lo <= gap_hi")
+    require_int("bits", bits, 4)
+    require_int("gap_hi", gap_hi, require_int("gap_lo", gap_lo))
+    rng = SplitMix64(seed)
     lowest = max(gap_lo, 1)
     if gap_hi > 0 and lowest + lowest % 2 > gap_hi:
         raise FeasibilityError(
@@ -143,7 +142,6 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
             "are odd primes, so a gap q - p > 0 is even, and the window holds no "
             "even gap above 0"
         )
-    rng = SplitMix64(seed)
     half = (bits + 1) // 2
     for _ in range(MAX_ATTEMPTS):
         start = (1 << (half - 1)) | rng.bits(half - 1) | 1
@@ -179,8 +177,7 @@ def ladder_windows(gaps: Sequence[int]) -> List[Tuple[int, int]]:
     windows = []
     prev = 0
     for bound in gaps:
-        if bound < 0:
-            raise ValueError("gap bounds must be >= 0")
+        require_int("gap bound", bound)
         if windows and bound <= prev:
             raise ValueError("gap bounds must be strictly ascending")
         windows.append((0, 0) if bound == 0 else (prev + 1, bound))
@@ -191,4 +188,4 @@ def ladder_windows(gaps: Sequence[int]) -> List[Tuple[int, int]]:
 def rung_seeds(seed: int, count: int) -> List[int]:
     """Per-rung seeds: successive words of a splitmix stream over `seed`."""
     master = SplitMix64(seed)
-    return [master.next_word() for _ in range(count)]
+    return [master.next_word() for _ in range(require_int("count", count))]

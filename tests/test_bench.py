@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from sqfactor import bench
 from sqfactor.bench import (
     METHODS,
     BenchRecord,
@@ -136,6 +137,11 @@ class TestRecordJson:
     def test_reader_rejects_non_int_counts(self, fields):
         line = '{"gap": "6", "method": "fermat", "outcome": "found", ' + fields + "}"
         with pytest.raises(ValueError):
+            record_from_json(line)
+
+    @pytest.mark.parametrize("line", ["[]", "5", '"x"', "null"])
+    def test_reader_rejects_a_line_that_is_not_an_object(self, line):
+        with pytest.raises(ValueError, match="a bench record must be a JSON object"):
             record_from_json(line)
 
 
@@ -275,13 +281,21 @@ class TestRunStudy:
         assert len(run_study(gaps=[4], **kwargs)) == 1
         assert built == [2]  # one cell is measured in-process
 
-    def test_method_validation(self):
+    def test_method_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             run_study(bits=16, gaps=[4], seed=0, methods=("fermat", "rho"))
         with pytest.raises(ValueError):
             run_study(bits=16, gaps=[4], seed=0, methods=())
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_study(bits=16, gaps=[4], seed=0, workers=0)
+
+        def never(*args, **kwargs):
+            raise AssertionError("generate_in_window was called")
+
+        monkeypatch.setattr(bench, "generate_in_window", never)
+        for workers in (1.5, "2", True):
+            with pytest.raises(ValueError, match="workers must be an int, got "):
+                run_study(bits=16, gaps=[4], seed=0, workers=workers)
 
 
 def _rec(gap, iterations, n_bits=32, method="fermat", outcome="found"):

@@ -427,6 +427,19 @@ class TestGenerateCommand:
         else:
             assert (out, err) == ("", "error: seed must fit in 64 bits\n")
 
+    @pytest.mark.parametrize(
+        "bits, max_gap, message",
+        [("2", "4", "bits must be >= 4, got 2"), ("16", "-4", "max_gap must be >= 0, got -4")],
+    )
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_request_is_checked_even_for_count_zero(self, capsys, bits, max_gap, message, as_json):
+        argv = ["generate", "--bits", bits, "--max-gap", max_gap, "--seed", "0", "--count", "0"]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        if as_json:
+            assert (code, json.loads(out), err) == (1, {"error": message}, "")
+        else:
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_negative_count_rejected(self, capsys):
         argv = ["generate", "--bits", "16", "--max-gap", "64", "--seed", "1"]
         assert run_cli(capsys, *argv, "--count", "-3") == (
@@ -531,7 +544,7 @@ class TestBenchCommand:
         "flag, value",
         [
             ("--methods", "rho"), ("--bits", "2"), ("--seed", "-1"), ("--gaps", "64,8"),
-            ("--workers", "0"), ("--workers", "-3"),
+            ("--workers", "0"), ("--workers", "-3"), ("--gaps", ","),
         ],
     )
     def test_usage_error_leaves_out_untouched(self, capsys, tmp_path, flag, value):

@@ -69,6 +69,15 @@ class TestSplitMix64:
         words = {SplitMix64(s).next_word() for s in range(64)}
         assert len(words) == 64
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SplitMix64(seed)
+
+    def test_non_int_bit_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be an int, got 2.5"):
+            SplitMix64(3).bits(2.5)
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize(
@@ -78,6 +87,11 @@ class TestSpecValidation:
             dict(bits=16, max_gap=-1, seed=0),
             dict(bits=16, max_gap=4, seed=-1),
             dict(bits=16, max_gap=4, seed=1 << 64),
+            dict(bits=64.5, max_gap=4, seed=0),
+            dict(bits="64", max_gap=4, seed=0),
+            dict(bits=16, max_gap=8.5, seed=0),
+            dict(bits=64, max_gap=4, seed=1.5),
+            dict(bits=64, max_gap=4, seed=True),
         ],
     )
     def test_rejects_out_of_range_fields(self, kwargs):
@@ -169,6 +183,10 @@ class TestGenerateInWindow:
         with pytest.raises(FeasibilityError, match=r"\[1, 1\].*q - p > 0 is even"):
             generate_in_window(16, 1, 1, seed=0)
 
+    def test_non_int_bits_rejected(self):
+        with pytest.raises(ValueError, match="bits must be an int, got 64.0"):
+            generate_in_window(64.0, 0, 16, 1)
+
 
 class TestLadder:
     def test_window_partition(self):
@@ -176,7 +194,9 @@ class TestLadder:
         assert ladder_windows([0, 16]) == [(0, 0), (1, 16)]
         assert ladder_windows([5]) == [(1, 5)]
 
-    @pytest.mark.parametrize("gaps", [[], [16, 16], [256, 16], [-1], [0, 0]])
+    @pytest.mark.parametrize(
+        "gaps", [[], [16, 16], [256, 16], [-1], [0, 0], [1.5, 4], [True, 4], ["4"]]
+    )
     def test_bad_ladders_rejected(self, gaps):
         with pytest.raises(ValueError):
             ladder_windows(gaps)
