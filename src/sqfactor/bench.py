@@ -162,15 +162,17 @@ def run_study(
     the rest proceeds.
     """
     require_int("workers", workers, 1)
+    if budget is not None and not isinstance(budget, Budget):
+        # the engine's own check, made here before any semiprime is generated
+        raise ValueError(f"budget must be a Budget or None, got {type(budget).__name__}")
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {shown(m)}")
+    windows = ladder_windows(gaps)
     cells = []
-    for rung_seed, (lo, hi) in zip(
-        rung_seeds(seed, len(gaps)), ladder_windows(gaps)
-    ):
+    for rung_seed, (lo, hi) in zip(rung_seeds(seed, len(windows)), windows):
         try:
             sp = generate_in_window(bits, lo, hi, rung_seed)
         except FeasibilityError as exc:

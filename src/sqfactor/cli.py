@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import sys
 import warnings
-from typing import List, Optional
 
 from .engine import (
     Budget,
@@ -282,7 +281,7 @@ def _cmd_bench(args) -> int:
     return _EXIT_OK
 
 
-def _parse_gaps(text: str) -> List[int]:
+def _parse_gaps(text: str) -> list[int]:
     try:
         return [str_to_int(part) for part in text.split(",") if part != ""]
     except ValueError:
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -30,10 +30,10 @@ which does not re-derive ceil_sqrt(n) or the deficit.
 
 Searches take an optional Budget and return a FactorOutcome sum type:
 Found, NoNontrivialFactor, or BudgetExhausted carrying a resumable
-state, each a NamedTuple, never equal across types.  Resuming an
-exhausted search examines exactly the candidates a never-interrupted
-run would have examined next, so a budgeted run plus its resumption
-is indistinguishable from one unlimited run.
+state, each a collections.namedtuple, never equal across types.
+Resuming an exhausted search examines exactly the candidates a
+never-interrupted run would have examined next, so a budgeted run plus
+its resumption is indistinguishable from one unlimited run.
 
 The same machinery supports the inverted scan over half-gaps x
 (xscan_factor): test x = 0, 1, 2, ... for n + x*x being a perfect
@@ -63,8 +63,9 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Union
 
 from .numeric import (
     SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, require_int, shown, str_to_int
@@ -103,9 +104,9 @@ _T = 64
 
 
 def _start_root(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
         raise ValueError("modulus must be an integer")
-    if n < 3 or n % 2 == 0:
+    if n < 3 or not n & 1:
         raise ValueError(
             "modulus must be an odd integer >= 3; strip factors of two "
             f"first (normalize_input), got {shown(n)}"
@@ -127,11 +128,16 @@ class _Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # each field's slot descriptor, whose __set__ stores past __setattr__
+        # below, which refuses
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     @classmethod
     def _trusted(cls, *values):
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(self, name, value)  # past __setattr__ below, which refuses
+        for set_field, value in zip(cls._setters, values):
+            set_field(self, value)
         return self
 
     def _values(self) -> tuple:
@@ -191,23 +197,11 @@ class XScanState(_Record):
         return self.x
 
 
-class Found(NamedTuple):
-    p: int
-    q: int
-    k: int
-    iterations: int
-
-
-class NoNontrivialFactor(NamedTuple):
-    iterations: int
-
-
-class BudgetExhausted(NamedTuple):
-    iterations: int
-    resume: Union[SearchState, XScanState]
-
-
-FactorOutcome = Union[Found, NoNontrivialFactor, BudgetExhausted]
+Found = namedtuple("Found", "p q k iterations")
+NoNontrivialFactor = namedtuple("NoNontrivialFactor", "iterations")
+# resume is a SearchState or an XScanState
+BudgetExhausted = namedtuple("BudgetExhausted", "iterations resume")
+FactorOutcome = Found | NoNontrivialFactor | BudgetExhausted
 
 
 class Budget(_Record):
@@ -221,7 +215,7 @@ class Budget(_Record):
 
     __slots__ = __match_args__ = ("max_iterations", "max_seconds")
 
-    def __new__(cls, max_iterations: Optional[int] = None, max_seconds: Optional[float] = None):
+    def __new__(cls, max_iterations: int | None = None, max_seconds: float | None = None):
         if max_iterations is not None:
             require_int("max_iterations", max_iterations)
         if max_seconds is not None and (
@@ -254,7 +248,7 @@ def step(state: SearchState) -> SearchState:
 
 # --- checkpoint serialization ------------------------------------------------
 
-def checkpoint_line(state: Union[SearchState, XScanState]) -> str:
+def checkpoint_line(state: SearchState | XScanState) -> str:
     """One-line key=value form; decimal at any width, reload-exact."""
     n, y0 = int_to_str(state.n), int_to_str(state.y0)
     if isinstance(state, SearchState):
@@ -262,7 +256,7 @@ def checkpoint_line(state: Union[SearchState, XScanState]) -> str:
     return f"n={n} y0={y0} x={int_to_str(state.x)}"
 
 
-def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
+def parse_checkpoint(line: str) -> SearchState | XScanState:
     fields = {}
     for token in line.split():
         key, _, value = token.partition("=")
@@ -288,14 +282,14 @@ def parse_checkpoint(line: str) -> Union[SearchState, XScanState]:
 # --- the walk driver, its kernel and the y-walk ------------------------------
 
 def _walk(
-    new_state: Callable[[int, int, int], Union[SearchState, XScanState]],
+    new_state: Callable[[int, int, int], SearchState | XScanState],
     n: int,
     y0: int,
     a: int,
     c: int,
     start: int,
-    budget: Optional[Budget],
-    progress: Optional[Callable[[int], None]],
+    budget: Budget | None,
+    progress: Callable[[int], None] | None,
 ) -> FactorOutcome:
     """Run _scan over indices start, start + 1, ... in slices of _SLICE.
 
@@ -321,15 +315,20 @@ def _walk(
 
     i = start
     while i < stop:
-        end = min(i + _SLICE, stop)
+        end = i + _SLICE
+        if end > stop:
+            end = stop
         hit = _scan(a, c, i, end)
         if hit is not None:
-            u, r = hit
-            y, x = (u, r) if u > r else (r, u)
+            y, x = hit
+            j = y - a  # the hit's first entry is u = a + j on both walks
+            if y < x:  # the x-walk's hit is (x, y)
+                y, x = x, y
+            # tuple.__new__ skips the named tuples' Python-level __new__ on every call
             if y - x == 1:
                 # trivial representation n = 1 * n: the search space is exhausted
-                return NoNontrivialFactor(u - a)
-            return Found(y - x, y + x, y - y0, u - a)
+                return tuple.__new__(NoNontrivialFactor, (j,))
+            return tuple.__new__(Found, (y - x, y + x, y - y0, j))
         i = end
         now = time.perf_counter()
         if now > deadline:
@@ -337,7 +336,7 @@ def _walk(
         if now >= next_report:
             progress(i)
             next_report = now + _PROGRESS_INTERVAL
-    return BudgetExhausted(i, new_state(n, y0, i))
+    return tuple.__new__(BudgetExhausted, (i, new_state(n, y0, i)))
 
 
 @lru_cache(maxsize=None)
@@ -351,6 +350,11 @@ def _step_table(c_mod_64: int) -> tuple:
     return tuple(1 + min((v - r - 1) % 64 for v in allowed) for r in range(64))
 
 
+# _step_table(c & 63) at index c & 63, filled on first use: a list index
+# per _scan call costs less than a call into the cache
+_steps = [None] * 64
+
+
 @lru_cache(maxsize=None)  # keys (m, c % m): at most 63 + 65 + 11 of them
 def _u_screen(m: int, c_mod_m: int) -> bytes:
     """Entry r is 1 iff r*r + c can be a square mod m."""
@@ -358,7 +362,7 @@ def _u_screen(m: int, c_mod_m: int) -> bytes:
     return bytes(squares[(r * r + c_mod_m) % m] for r in range(m))
 
 
-def _scan(a: int, c: int, i: int, end: int) -> Optional[tuple]:
+def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
     r*r, or None.
 
@@ -368,7 +372,9 @@ def _scan(a: int, c: int, i: int, end: int) -> Optional[tuple]:
     screens t mod 63, 65 and 11; from _T on it screens u mod 63, 65
     and 11, small ints, and builds t only for a u that passes all three.
     """
-    steps = _step_table(c & 63)  # c mod 64, also for negative c
+    steps = _steps[c & 63]  # c mod 64, also for negative c
+    if steps is None:
+        steps = _steps[c & 63] = _step_table(c & 63)
     if i < _T:
         sq63, sq65, sq11 = _SCREENS
         u = a + i - 1
@@ -404,8 +410,8 @@ def _scan(a: int, c: int, i: int, end: int) -> Optional[tuple]:
 
 def fermat_factor(
     n: int,
-    budget: Optional[Budget] = None,
-    progress: Optional[Callable[[int], None]] = None,
+    budget: Budget | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> FactorOutcome:
     """Factor odd n >= 3 by the difference-of-squares y-walk.
 
@@ -421,8 +427,8 @@ def fermat_factor(
 
 def resume_fermat(
     state: SearchState,
-    budget: Optional[Budget] = None,
-    progress: Optional[Callable[[int], None]] = None,
+    budget: Budget | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> FactorOutcome:
     """Continue an exhausted y-walk; examines candidates k, k+1, ..."""
     if not isinstance(state, SearchState):
@@ -432,7 +438,7 @@ def resume_fermat(
 
 # --- closed-form prediction and the x-walk -----------------------------------
 
-def predict_k(n: int, x: int) -> Optional[int]:
+def predict_k(n: int, x: int) -> int | None:
     """Offset k at which the deficit equals x*x, if any.
 
     Solves (y0 + k)**2 - n = x**2 for integer k >= 0: when n + x*x is a
@@ -451,8 +457,8 @@ def predict_k(n: int, x: int) -> Optional[int]:
 
 def xscan_factor(
     n: int,
-    budget: Optional[Budget] = None,
-    progress: Optional[Callable[[int], None]] = None,
+    budget: Budget | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> FactorOutcome:
     """Factor odd n >= 3 by scanning half-gaps x = 0, 1, 2, ...
 
@@ -465,8 +471,8 @@ def xscan_factor(
 
 def resume_xscan(
     state: XScanState,
-    budget: Optional[Budget] = None,
-    progress: Optional[Callable[[int], None]] = None,
+    budget: Budget | None = None,
+    progress: Callable[[int], None] | None = None,
 ) -> FactorOutcome:
     """Continue an exhausted x-walk; examines candidates x, x+1, ..."""
     if not isinstance(state, XScanState):

@@ -40,7 +40,7 @@ decides what an integer argument from outside is.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 
 def floor_sqrt(n: int) -> int:
@@ -146,9 +146,8 @@ def require_int(name: str, value, lo: int = 0) -> int:
     return value
 
 
-class SquareTestResult(NamedTuple):
-    is_square: bool
-    root: Optional[int]  # set iff is_square; root * root == the input
+# root is set iff is_square; root * root == the input
+SquareTestResult = namedtuple("SquareTestResult", "is_square root")
 
 
 def _square_residues(m: int) -> bytes:

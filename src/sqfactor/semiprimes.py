@@ -172,8 +172,8 @@ def ladder_windows(gaps: Sequence[int]) -> List[Tuple[int, int]]:
 
     A zero bound (only sensible first) requests exactly gap 0.
     """
-    if not gaps:
-        raise ValueError("gaps must be nonempty")
+    if not isinstance(gaps, Sequence) or not gaps:
+        raise ValueError(f"gaps must be a nonempty sequence, got {shown(gaps)}")
     windows = []
     prev = 0
     for bound in gaps:

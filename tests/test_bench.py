@@ -296,6 +296,10 @@ class TestRunStudy:
         for workers in (1.5, "2", True):
             with pytest.raises(ValueError, match="workers must be an int, got "):
                 run_study(bits=16, gaps=[4], seed=0, workers=workers)
+        with pytest.raises(ValueError, match="budget must be a Budget or None, got int"):
+            run_study(bits=16, gaps=[4], seed=0, budget=5)
+        with pytest.raises(ValueError, match="gaps must be a nonempty sequence, got 5"):
+            run_study(bits=16, gaps=5, seed=0)
 
 
 def _rec(gap, iterations, n_bits=32, method="fermat", outcome="found"):

@@ -480,6 +480,36 @@ class TestOutcomes:
         assert type(back.resume) is type(out.resume)
         assert (resume_fermat if walk is fermat_factor else resume_xscan)(back.resume) == walk(5959)
 
+    def test_every_walk_returns_the_outcome_classes_themselves(self):
+        y_state = fermat_factor(5959, Budget(max_iterations=1)).resume
+        x_state = xscan_factor(5959, Budget(max_iterations=1)).resume
+        cases = [
+            (fermat_factor(187), Found, "Found(p=11, q=17, k=0, iterations=0)", (11, 17, 0, 0)),
+            (xscan_factor(187), Found, "Found(p=11, q=17, k=0, iterations=3)", (11, 17, 0, 3)),
+            (fermat_factor(7), NoNontrivialFactor, "NoNontrivialFactor(iterations=1)", (1,)),
+            (xscan_factor(7), NoNontrivialFactor, "NoNontrivialFactor(iterations=3)", (3,)),
+            (resume_fermat(y_state), Found, "Found(p=59, q=101, k=2, iterations=2)", (59, 101, 2, 2)),
+            (resume_xscan(x_state), Found, "Found(p=59, q=101, k=2, iterations=21)", (59, 101, 2, 21)),
+            (
+                resume_fermat(y_state, Budget(max_iterations=0)),
+                BudgetExhausted,
+                "BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1, d=282))",
+                (1, y_state),
+            ),
+            (
+                resume_xscan(x_state, Budget(max_iterations=1)),
+                BudgetExhausted,
+                "BudgetExhausted(iterations=2, resume=XScanState(n=5959, y0=78, x=2))",
+                (2, XScanState(n=5959, y0=78, x=2)),
+            ),
+        ]
+        for out, cls, text, fields in cases:
+            assert type(out) is cls
+            assert repr(out) == text
+            assert out == fields and tuple(out) == fields
+            back = pickle.loads(pickle.dumps(out))
+            assert type(back) is cls and back == out
+
 
 _RECORDS = [
     (SearchState(n=187, y0=14, k=0, d=9), (187, 14, 0, 9), "SearchState(n=187, y0=14, k=0, d=9)"),
@@ -784,6 +814,24 @@ class TestKernel:
                 assert isinstance(out, BudgetExhausted)  # so every walk passed _T
         assert 100 < _u_screen.cache_info().currsize <= 63 + 65 + 11
         assert _step_table.cache_info().currsize <= 32
+
+    @pytest.mark.parametrize("d", (1, -1))  # c > 0 as on the x-walk, c < 0 as on the y-walk
+    def test_every_odd_class_of_c_mod_64_gets_its_own_step_table(self, d):
+        # u*u + c == (u + d)**2 at u = a + j alone: c = d * (2*u + d) takes
+        # all 32 odd classes mod 64 over 32 consecutive j, each planted both
+        # below _T and past it, all in one process, so a step table served
+        # for the wrong class would skip or move the hit
+        a = (1 << 70) + 3
+        classes = set()
+        for first in (10, _T + 10):
+            for j in range(first, first + 32):
+                u = a + j
+                c = d * (2 * u + d)
+                classes.add(c & 63)
+                for i in (0, j - 3):
+                    found = _scan(a, c, i, j + 40)
+                    assert found == _reference_scan(a, c, i, j + 40) == (u, u + d), (j, i)
+        assert len(classes) == 32
 
     @pytest.mark.parametrize("walk", "yx")
     def test_every_window_around_the_stage_switch(self, walk):

@@ -4,11 +4,16 @@ import ast
 import json
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
+import pytest
+
 import sqfactor
+from sqfactor import bench, cli, engine, numeric, semiprimes
 
 PACKAGE = Path(sqfactor.__file__).parent
+MODULES = (bench, cli, engine, numeric, semiprimes)
 
 
 def test_no_private_name_crosses_a_module_boundary():
@@ -72,6 +77,26 @@ def test_factor_json_process_prints_one_document():
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
     assert json.loads(run.stdout)["p"] == "11"
+
+
+def test_factor_process_without_site_loads_no_typing():
+    # the outcomes are collections.namedtuples and the annotations PEP 604
+    # strings, so nothing on the factor path needs typing
+    assert "typing" not in _factor_process_loads("-S")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_public_signature_resolves(module):
+    # typing.get_type_hints evaluates the string annotations in the module's
+    # namespace, so each name an annotation uses must exist there at runtime
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        targets = [obj] if callable(obj) else []
+        if isinstance(obj, type) and "__new__" in vars(obj):
+            targets.append(obj.__new__)
+        for target in targets:
+            typing.get_type_hints(target)
 
 
 def test_factor_process_without_site_loads_no_random():

@@ -195,7 +195,7 @@ class TestLadder:
         assert ladder_windows([5]) == [(1, 5)]
 
     @pytest.mark.parametrize(
-        "gaps", [[], [16, 16], [256, 16], [-1], [0, 0], [1.5, 4], [True, 4], ["4"]]
+        "gaps", [[], [16, 16], [256, 16], [-1], [0, 0], [1.5, 4], [True, 4], ["4"], 5]
     )
     def test_bad_ladders_rejected(self, gaps):
         with pytest.raises(ValueError):
