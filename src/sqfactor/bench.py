@@ -85,10 +85,19 @@ def record_from_json(line: str) -> BenchRecord:
         raise ValueError(f"a bench record must be a JSON object, got {shown(line)}")
     values = {}
     for name, convert, optional in _FIELDS:
-        value = obj.get(name) if optional else obj[name]
+        if not optional and name not in obj:
+            raise ValueError(f"a bench record needs the field {name!r}")
+        value = obj.get(name)
         skip = convert is None or (value is None and optional)
         values[name] = value if skip else _int_field(name, value)
+    _require_one_of("method", values["method"], METHODS)
+    _require_one_of("outcome", values["outcome"], _OUTCOME_NAMES.values())
     return BenchRecord(**values)
+
+
+def _require_one_of(name: str, value, choices) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {shown(value)}")
 
 
 class SkippedWindow(UserWarning):
@@ -117,8 +126,7 @@ def measure(
     inputs), fills gap and predicted_iterations even if the run
     exhausts its budget.  A found outcome fills them from the result.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {shown(method)}")
+    _require_one_of("method", method, METHODS)
     run = fermat_factor if method == "fermat" else xscan_factor
     t0 = time.perf_counter_ns()
     outcome = run(n, budget)
@@ -168,8 +176,7 @@ def run_study(
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {shown(m)}")
+        _require_one_of("method", m, METHODS)
     windows = ladder_windows(gaps)
     cells = []
     for rung_seed, (lo, hi) in zip(rung_seeds(seed, len(windows)), windows):

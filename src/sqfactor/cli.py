@@ -40,11 +40,13 @@ _MASK64 = (1 << 64) - 1
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the contract reserves 2 for
-    # "input is prime", so remap
+    # argparse prints usage and exits 2, which the contract reserves for
+    # "input is prime"; raise for main to report as one error line.  The
+    # message quotes argv whole, so it is escaped to ASCII and, as shown
+    # cuts a long string, cut to a prefix naming the error, and its length.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        text = ascii(message)[1:-1]
+        raise ValueError(text if len(text) <= 160 else f"{text[:120]}... ({len(text)} characters)")
 
 
 def parse_modulus(text: str) -> int:
@@ -348,25 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = None  # until parsing succeeds, --json is read from argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except BrokenPipeError:
         raise  # stdout is gone, so there is nowhere to report it
-    except ValueError as exc:
-        return _fail(str(exc), getattr(args, "json", False))
-    except OSError as exc:
-        return _fail(_os_error_text(exc), getattr(args, "json", False))
+    except (ValueError, OSError) as exc:
+        message = _os_error_text(exc) if isinstance(exc, OSError) else str(exc)
+        return _fail(message, getattr(args, "json", "--json" in argv))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-
-
-def entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -23,10 +23,11 @@ unbudgeted search total.
 The state records SearchState, XScanState, Budget and NormalizedInput
 share one small __slots__ base, _Record, so that importing the engine
 does not import dataclasses.  Their public constructors validate
-outside input once.  States the engine derives itself (init_search,
-step, parse_checkpoint once it has checked its tokens, and the
-resumable state of a spent budget) are built by _Record._trusted,
-which does not re-derive ceil_sqrt(n) or the deficit.
+outside input once.  Records the engine derives itself (init_search,
+step, parse_checkpoint once it has checked its tokens, the resumable
+state of a spent budget, and normalize_input's split of n) are built
+by _Record._trusted, which does not re-derive ceil_sqrt(n) or the
+deficit.
 
 Searches take an optional Budget and return a FactorOutcome sum type:
 Found, NoNontrivialFactor, or BudgetExhausted carrying a resumable
@@ -45,17 +46,18 @@ square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
 One kernel, _scan, runs that search over j in i, ..., end - 1.  It
 steps u = a + j from one value to the next that one mod-64 step table
 allows, and takes an exact root only of candidates that can also be
-squares modulo 63, 65 and 11.  Below index _T it carries t = u*u + c
-and screens t; from _T on it screens u by its residues modulo the
-three, all small ints, and builds t only for a u that passes.  That
-saves the big-int work per candidate on a long walk, and a tiny split,
-over before _T, skips the set-up of the u-screens.  The driver, _walk,
-calls the kernel once per slice of _SLICE candidates and owns
-everything else: the stop index a budget sets, the deadline and the
-progress callback (both serviced after each finished slice, in one
-block that reads the clock once, so the kernel reads no clock), the
-bound at the trivial representation, and turning a hit or a spent
-budget into an outcome.
+squares modulo 63, 65 and 11.  c is odd, so there are 32 step tables,
+each built on first use into the list _steps, their one cache.  Below
+index _T the kernel carries t = u*u + c and screens t; from _T on it
+screens u by its residues modulo the three, all small ints, and builds
+t only for a u that passes.  That saves the big-int work per candidate
+on a long walk, and a tiny split, over before _T, skips the set-up of
+the u-screens.  The driver, _walk, calls the kernel once per slice of
+_SLICE candidates and owns everything else: the stop index a budget
+sets, the deadline and the progress callback (both serviced after each
+finished slice, in one block that reads the clock once, so the kernel
+reads no clock), the bound at the trivial representation, and turning
+a hit or a spent budget into an outcome.
 """
 
 from __future__ import annotations
@@ -67,9 +69,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 
-from .numeric import (
-    SQUARE_RESIDUES, ceil_sqrt, int_to_str, is_perfect_square, require_int, shown, str_to_int
-)
+from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, require_int, shown, str_to_int
 
 __all__ = [
     "Budget",
@@ -104,8 +104,8 @@ _T = 64
 
 
 def _start_root(n: int) -> int:
-    if type(n) is not int and (not isinstance(n, int) or isinstance(n, bool)):
-        raise ValueError("modulus must be an integer")
+    if type(n) is not int:
+        require_int("modulus", n)
     if n < 3 or not n & 1:
         raise ValueError(
             "modulus must be an odd integer >= 3; strip factors of two "
@@ -339,7 +339,6 @@ def _walk(
     return tuple.__new__(BudgetExhausted, (i, new_state(n, y0, i)))
 
 
-@lru_cache(maxsize=None)
 def _step_table(c_mod_64: int) -> tuple:
     """Distance from each u mod 64 to the next u' > u for which u'*u' + c
     can be a square mod 64."""
@@ -350,8 +349,9 @@ def _step_table(c_mod_64: int) -> tuple:
     return tuple(1 + min((v - r - 1) % 64 for v in allowed) for r in range(64))
 
 
-# _step_table(c & 63) at index c & 63, filled on first use: a list index
-# per _scan call costs less than a call into the cache
+# _step_table(c & 63) at index c & 63, filled by _scan on first use: the
+# one cache of step tables, since a list index per _scan call costs less
+# than an lru_cache lookup
 _steps = [None] * 64
 
 
@@ -441,18 +441,14 @@ def resume_fermat(
 def predict_k(n: int, x: int) -> int | None:
     """Offset k at which the deficit equals x*x, if any.
 
-    Solves (y0 + k)**2 - n = x**2 for integer k >= 0: when n + x*x is a
-    perfect square s*s with s >= ceil_sqrt(n), k = s - y0.  Returns None
-    otherwise (including roots below the search start, i.e. negative k).
+    Solves (y0 + k)**2 - n = x**2 for integer k: when n + x*x is a
+    perfect square s*s, k = s - y0, and returns None otherwise.  k is
+    never negative, since s*s >= n gives s >= ceil_sqrt(n) = y0.
     """
     y0 = _start_root(n)
-    require_int("x", x)
-    test = is_perfect_square(n + x * x)
-    if not test.is_square:
-        return None
-    if test.root < y0:
-        return None
-    return test.root - y0
+    t = n + require_int("x", x) ** 2
+    s = math.isqrt(t)
+    return s - y0 if s * s == t else None
 
 
 def xscan_factor(
@@ -492,6 +488,9 @@ class NormalizedInput(_Record):
     __slots__ = __match_args__ = ("two_exponent", "residual")
 
     def __new__(cls, two_exponent: int, residual: int):
+        require_int("two_exponent", two_exponent)
+        if not require_int("residual", residual, 1) & 1:
+            raise ValueError(f"residual must be odd, got {shown(residual)}")
         return cls._trusted(two_exponent, residual)
 
     @property
@@ -504,7 +503,9 @@ class NormalizedInput(_Record):
 
 def normalize_input(n: int) -> NormalizedInput:
     """Strip all factors of two from n >= 2."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if type(n) is not int:
+        require_int("modulus", n)
+    if n < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {shown(n)}")
     twos = (n & -n).bit_length() - 1  # n & -n is the lowest set bit of n
-    return NormalizedInput(two_exponent=twos, residual=n >> twos)
+    return NormalizedInput._trusted(twos, n >> twos)

@@ -242,8 +242,11 @@ def is_probable_prime(n: int, rng=None) -> bool:
     at most 4**-24 for composite n.  ``rng`` only needs a ``randrange``
     method and is consulted only above the deterministic bound, so
     results below it never depend on it; None there means the
-    ``random`` module, imported only then.
+    ``random`` module, imported only then.  An n that ``require_int``
+    refuses, such as 7.0, "7" or True, raises ValueError.
     """
+    if type(n) is not int:
+        require_int("n", n)
     if n < _DETERMINISTIC_BOUND:
         if n < 43:
             return n in _DETERMINISTIC_WITNESSES

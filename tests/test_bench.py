@@ -139,6 +139,28 @@ class TestRecordJson:
         with pytest.raises(ValueError):
             record_from_json(line)
 
+    @pytest.mark.parametrize(
+        "line, wording",
+        [
+            ("{}", "a bench record needs the field 'n_bits'"),
+            ('{"n_bits": 8, "method": "fermat", "iterations": 7, "elapsed_ns": 10}',
+             "a bench record needs the field 'outcome'"),
+            ('{"n_bits": 8, "iterations": 7, "elapsed_ns": 10, "outcome": "found"}',
+             "a bench record needs the field 'method'"),
+            ('{"n_bits": 8, "method": 5, "iterations": 7, "elapsed_ns": 10, "outcome": "found"}',
+             r"method must be one of \('fermat', 'xscan'\), got 5"),
+            ('{"n_bits": 8, "method": "rho", "iterations": 7, "elapsed_ns": 10, "outcome": "found"}',
+             "method must be one of .*, got 'rho'"),
+            ('{"n_bits": 8, "method": "xscan", "iterations": 7, "elapsed_ns": 10, "outcome": "zzz"}',
+             "outcome must be one of .*'budget_exhausted'.*, got 'zzz'"),
+            ('{"n_bits": 8, "method": "xscan", "iterations": 7, "elapsed_ns": 10, "outcome": null}',
+             "outcome must be one of .*, got None"),
+        ],
+    )
+    def test_reader_rejects_a_missing_or_unknown_field(self, line, wording):
+        with pytest.raises(ValueError, match=wording):
+            record_from_json(line)
+
     @pytest.mark.parametrize("line", ["[]", "5", '"x"', "null"])
     def test_reader_rejects_a_line_that_is_not_an_object(self, line):
         with pytest.raises(ValueError, match="a bench record must be a JSON object"):
@@ -193,7 +215,7 @@ class TestRecordGolden:
 
     def test_missing_required_key_raises(self):
         line = '{"n_bits": 8, "gap": "6", "method": "fermat", "elapsed_ns": 10, "outcome": "found"}'
-        with pytest.raises(KeyError, match="iterations"):
+        with pytest.raises(ValueError, match="needs the field 'iterations'"):
             record_from_json(line)
 
 

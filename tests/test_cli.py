@@ -642,6 +642,95 @@ class TestUsageErrors:
         assert main(["factor", "--help"]) == 0
 
 
+# (id, argv) of exit-1 runs on every subcommand: argparse's usage errors
+# and the commands' own domain errors
+_EXIT_1_RUNS = [
+    ("no-command", []),
+    ("invalid-choice", ["zzz"]),
+    ("factor-missing-modulus", ["factor"]),
+    ("factor-unknown-flag", ["factor", "187", "--turbo"]),
+    ("factor-bad-int-flag", ["factor", "187", "--max-iterations", "x"]),
+    ("factor-bad-modulus", ["factor", "12z"]),
+    ("factor-below-two", ["factor", "0"]),
+    ("factor-missing-checkpoint", ["factor", "187", "--resume", "absent.ckpt"]),
+    ("xscan-missing-modulus", ["xscan"]),
+    ("xscan-bad-float-flag", ["xscan", "187", "--max-seconds", "fast"]),
+    ("xscan-nan-seconds", ["xscan", "187", "--max-seconds", "nan"]),
+    ("generate-missing-flags", ["generate", "--bits", "48"]),
+    ("generate-bits-too-small", ["generate", "--bits", "2", "--max-gap", "4", "--seed", "0"]),
+    ("bench-missing-flags", ["bench", "--bits", "24"]),
+    ("bench-bad-gaps", ["bench", "--bits", "20", "--gaps", "8;64", "--seed", "0", "--out", "r.jsonl"]),
+    ("bench-unknown-method", ["bench", "--bits", "20", "--gaps", "8,64", "--seed", "0",
+                              "--methods", "rho", "--out", "r.jsonl"]),
+    ("long-invalid-choice", ["z" * 5000]),
+    ("long-unrecognized-argument", ["factor", "187", "z" * 5000]),
+    ("long-unrecognized-option", ["factor", "187", "--" + "z" * 5000]),
+]
+
+
+class TestOneErrorPath:
+    # every exit-1 run ends in one `error:` line, or one {"error": ...}
+    # document under --json, whichever part of the program refused it
+    @pytest.mark.parametrize("argv", [a for _, a in _EXIT_1_RUNS], ids=[i for i, _ in _EXIT_1_RUNS])
+    def test_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("argv", [a for _, a in _EXIT_1_RUNS], ids=[i for i, _ in _EXIT_1_RUNS])
+    def test_one_json_document(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        assert out.count("\n") == 1 and out.endswith("\n")
+        doc = json.loads(out)
+        assert list(doc) == ["error"] and len(doc["error"].encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["z" * 5000], "argument command: invalid choice: 'zzz"),
+            (["factor", "187", "z" * 5000], "unrecognized arguments: zzz"),
+            (["factor", "187", "--" + "z" * 5000], "unrecognized arguments: --zzz"),
+        ],
+        ids=["invalid-choice", "unrecognized-argument", "unrecognized-option"],
+    )
+    def test_long_argv_text_is_cut(self, capsys, argv, kind):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {kind}") and "characters)" in err
+        assert len(err.encode()) < 200
+
+    def test_argv_text_is_escaped_to_one_line(self, capsys):
+        code, _, err = run_cli(capsys, "factor", "187", "a\nb", "\u00e9")
+        assert code == 1
+        assert err == "error: unrecognized arguments: a\\nb \\xe9\n"
+
+    def test_empty_checkpoint_file(self, capsys, tmp_path):
+        ckpt = tmp_path / "blank.ckpt"
+        ckpt.write_text("\n  \n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "factor", "187", "--resume", str(ckpt))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: checkpoint file ") and err.endswith(" is empty\n")
+
+
+@pytest.mark.parametrize("command, walk", [("factor", "fermat_factor"), ("xscan", "xscan_factor")])
+def test_interrupted_walk_exits_130(capsys, monkeypatch, command, walk):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(f"sqfactor.cli.{walk}", interrupted)
+    assert run_cli(capsys, command, "187") == (130, "", "interrupted\n")
+
+
+def test_console_script_is_main():
+    # the installed script runs sys.exit(main()), so main is the one entry function
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'sqfactor = "sqfactor.cli:main"' in text.split("[project.scripts]")[1].split("[")[0]
+
+
 class TestParseModulus:
     def test_accepts_decimal_and_hex(self):
         assert parse_modulus("187") == 187

@@ -29,7 +29,7 @@ from sqfactor.engine import (
     resume_xscan,
     step,
     _scan,
-    _step_table,
+    _steps,
     _u_screen,
     _y_state,
     xscan_factor,
@@ -709,6 +709,30 @@ class TestNormalizeInput:
             with pytest.raises(ValueError):
                 normalize_input(bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 8.0, "8", True, None])
+    def test_non_int_modulus_rejected(self, bad):
+        for call in (normalize_input, fermat_factor, xscan_factor, init_search):
+            with pytest.raises(ValueError, match="modulus must be an int, got "):
+                call(bad)
+
+    @pytest.mark.parametrize(
+        "values, wording",
+        [
+            (("x", 3), "two_exponent must be an int"),
+            ((1, 2.5), "residual must be an int"),
+            ((True, 3), "two_exponent must be an int"),
+            ((-1, 3), "two_exponent must be >= 0"),
+            ((1, 0), "residual must be >= 1"),
+            ((1, 4), "residual must be odd"),
+        ],
+    )
+    def test_constructor_validates(self, values, wording):
+        with pytest.raises(ValueError, match=wording):
+            NormalizedInput(*values)
+        # a corrupt pickled record is refused, not loaded
+        with pytest.raises(ValueError, match=wording):
+            pickle.loads(pickle.dumps(NormalizedInput._trusted(*values)))
+
 
 # Chunk edges every chained run passes through: the kernel's switch from
 # screening t to screening u (_T, one mod-64 period), an edge inside a
@@ -813,7 +837,7 @@ class TestKernel:
                 out = walk(n, Budget(max_iterations=_T + 200))
                 assert isinstance(out, BudgetExhausted)  # so every walk passed _T
         assert 100 < _u_screen.cache_info().currsize <= 63 + 65 + 11
-        assert _step_table.cache_info().currsize <= 32
+        assert sum(table is not None for table in _steps) <= 32
 
     @pytest.mark.parametrize("d", (1, -1))  # c > 0 as on the x-walk, c < 0 as on the y-walk
     def test_every_odd_class_of_c_mod_64_gets_its_own_step_table(self, d):

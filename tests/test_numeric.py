@@ -146,6 +146,19 @@ class TestIsProbablePrime:
         assert is_probable_prime(0) is False
         assert is_probable_prime(2) is True
 
+    @pytest.mark.parametrize("bad", [7.0, 2.0, "7", True, None])
+    def test_non_int_rejected(self, bad):
+        with pytest.raises(ValueError, match="n must be an int, got "):
+            is_probable_prime(bad)
+
+    def test_even_above_the_deterministic_bound(self):
+        class NoDraws:
+            def randrange(self, low, high):
+                raise AssertionError("an even n needs no witness")
+
+        for n in (2**82, 3317044064679887385961982, 2**4000 + 2):
+            assert is_probable_prime(n, NoDraws()) is False
+
     def test_agrees_with_sieve_to_1e6(self):
         flags = _sieve(10**6)
         for n in range(10**6):

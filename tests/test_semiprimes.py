@@ -60,6 +60,11 @@ class TestSplitMix64:
             v = rng.randrange(low, high)
             assert low <= v < high
 
+    @pytest.mark.parametrize("low, high", [(5, 5), (5, 3), (0, 0), (0, -1)])
+    def test_randrange_empty_range_rejected(self, low, high):
+        with pytest.raises(ValueError, match="empty range"):
+            SplitMix64(3).randrange(low, high)
+
     def test_randrange_deterministic(self):
         a = [SplitMix64(42).randrange(0, 10**9) for _ in range(1)]
         b = [SplitMix64(42).randrange(0, 10**9) for _ in range(1)]
