@@ -21,10 +21,11 @@ The square detector is split in two layers:
 
 ``is_probable_prime`` is exact below 3.3e24: a gcd with the product of
 the witness primes 2..41 screens out their multiples, and a survivor
-runs only the first k of those witnesses, the fewest that the known
-smallest strong pseudoprimes prove exact for its size.  Above the bound
-it draws random witnesses from the caller's generator, or from
-``random``, imported only then, when the caller passes none.
+runs only the witnesses that the known smallest strong pseudoprimes
+prove exact for its size: three (2, 7 and 61) below 4.76e9, the first
+nine primes below 3.8e18.  Above the bound it draws random witnesses
+from the caller's generator, or from ``random``, imported only then,
+when the caller passes none.
 
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
 without CPython's 4300-digit int/str limit: they try ``str``/``int``
@@ -68,6 +69,8 @@ def int_to_str(n: int) -> str:
     >>> int_to_str(-187)
     '-187'
     """
+    if type(n) is not int:
+        require_int("n", n, None)
     try:
         return str(n)
     except ValueError:  # over CPython's int/str digit limit
@@ -108,6 +111,8 @@ def json_int(n: int):
     >>> json_int(-2**53)
     '-9007199254740992'
     """
+    if type(n) is not int:
+        require_int("n", n, None)
     return n if -(1 << 53) < n < 1 << 53 else int_to_str(n)
 
 
@@ -132,8 +137,9 @@ def shown(value) -> str:
     return f"{text[:24]!r}... ({len(text)} characters)"
 
 
-def require_int(name: str, value, lo: int = 0) -> int:
-    """value if it is an int, not a bool, and at least lo; else a ValueError naming it.
+def require_int(name: str, value, lo: int | None = 0) -> int:
+    """value if it is an int, not a bool, and at least lo (if lo is not
+    None); else a ValueError naming it.
 
     >>> require_int("workers", 0, 1)
     Traceback (most recent call last):
@@ -141,7 +147,7 @@ def require_int(name: str, value, lo: int = 0) -> int:
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {shown(value)}")
-    if value < lo:
+    if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {shown(value)}")
     return value
 
@@ -169,6 +175,8 @@ def residue_filter(n: int) -> bool:
     64, 63, 65, or 11 is a non-residue).  True is inconclusive and must
     be confirmed by an exact check.  Never returns False for a square.
     """
+    if type(n) is not int:
+        require_int("n", n, None)
     if n < 0:
         raise ValueError("residue_filter is undefined for negative numbers")
     return all(table[n % m] for m, table in SQUARE_RESIDUES.items())
@@ -182,6 +190,8 @@ def is_perfect_square(n: int) -> SquareTestResult:
     >>> is_perfect_square(2).is_square
     False
     """
+    if type(n) is not int:
+        require_int("n", n, None)
     if n < 0:
         return SquareTestResult(False, None)
     if not residue_filter(n):
@@ -198,21 +208,21 @@ def is_perfect_square(n: int) -> SquareTestResult:
 _DETERMINISTIC_BOUND = 3317044064679887385961981
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_PRODUCT = math.prod(_DETERMINISTIC_WITNESSES)
-# (bound, k): no composite below bound passes the first k witnesses.  Each
-# bound is the smallest strong pseudoprime to the first k prime bases
-# (Jaeschke 1993; Sorenson & Webster 2017), so the 13-witness test gives
-# the same answer below it.
+# (bound, witnesses): no composite below bound passes every witness, since
+# each bound is the smallest strong pseudoprime to its witnesses (Jaeschke,
+# Math. Comp. 61 (1993); Sorenson & Webster 2017), so the 13-witness test
+# gives the same answer below it.  {2, 7, 61} reaches past the first four
+# primes' bound, 3215031751, with one witness fewer.
 _WITNESS_TIERS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (318665857834031151167461, 12),
-    (_DETERMINISTIC_BOUND, 13),
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (4759123141, (2, 7, 61)),
+    (2152302898747, _DETERMINISTIC_WITNESSES[:5]),
+    (3474749660383, _DETERMINISTIC_WITNESSES[:6]),
+    (341550071728321, _DETERMINISTIC_WITNESSES[:7]),
+    (3825123056546413051, _DETERMINISTIC_WITNESSES[:9]),
+    (318665857834031151167461, _DETERMINISTIC_WITNESSES[:12]),
+    (_DETERMINISTIC_BOUND, _DETERMINISTIC_WITNESSES),
 )
 # random witnesses per test above the bound: error at most 4**-24 per composite
 _RANDOM_ROUNDS = 24
@@ -235,15 +245,17 @@ def is_probable_prime(n: int, rng=None) -> bool:
 
     Exact for n below about 3.3e24.  There one gcd with the product of
     the 13 witness primes 2..41 rejects any n they divide (n < 43 is
-    prime iff it is one of them), and a survivor runs only the first k
-    witnesses, where k is the smallest that ``_WITNESS_TIERS`` proves
-    exact for n: 1 below 2047, 4 below 3.2e9, 9 below 3.8e18.  Beyond
-    the bound, a fixed 24 random witnesses give an error probability of
-    at most 4**-24 for composite n.  ``rng`` only needs a ``randrange``
-    method and is consulted only above the deterministic bound, so
-    results below it never depend on it; None there means the
-    ``random`` module, imported only then.  An n that ``require_int``
-    refuses, such as 7.0, "7" or True, raises ValueError.
+    prime iff it is one of them), and a survivor runs only the
+    witnesses of the first ``_WITNESS_TIERS`` row whose bound exceeds
+    n: 2 alone below 2047, three (2, 7 and 61) below 4.76e9, the first
+    nine primes below 3.8e18.  Beyond the bound, a fixed 24 random
+    witnesses give an error probability of at most 4**-24 for composite
+    n.  ``rng`` needs a ``randrange`` method and is consulted only for
+    odd n above the deterministic bound, so results below it never
+    depend on it; None there means the ``random`` module, imported only
+    then.  An n that ``require_int`` refuses, such as 7.0, "7" or True,
+    raises ValueError, and so does an rng without ``randrange`` where
+    it would be consulted.
     """
     if type(n) is not int:
         require_int("n", n)
@@ -252,19 +264,20 @@ def is_probable_prime(n: int, rng=None) -> bool:
             return n in _DETERMINISTIC_WITNESSES
         if math.gcd(n, _WITNESS_PRODUCT) != 1:
             return False
-        k = next(k for bound, k in _WITNESS_TIERS if n < bound)
-        witnesses = _DETERMINISTIC_WITNESSES[:k]
+        for bound, witnesses in _WITNESS_TIERS:
+            if n < bound:
+                break
     elif n % 2 == 0:
         return False
     else:
         if rng is None:
             import random as rng
+        elif not hasattr(rng, "randrange"):
+            raise ValueError(f"rng must have a randrange method, got {shown(rng)}")
         witnesses = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    m = n - 1
+    r = (m & -m).bit_length() - 1  # n - 1 = d * 2**r with d odd
+    d = m >> r
     for a in witnesses:
         if not _mr_witness_passes(n, d, r, a):
             return False

@@ -197,7 +197,47 @@ _GOLDEN_LINES = [
 ]
 
 
+def _json_fields(r):
+    """record_to_json's dict, written out by hand: labels as decimal
+    strings, counts as numbers only below 2**53 in magnitude."""
+    def count(v):
+        return v if v is None or abs(v) < 2**53 else str(v)
+
+    def label(v):
+        return None if v is None else str(v)
+
+    return {
+        "n_bits": count(r.n_bits), "gap": label(r.gap), "method": r.method,
+        "iterations": count(r.iterations), "elapsed_ns": count(r.elapsed_ns),
+        "outcome": r.outcome, "seed": label(r.seed),
+        "predicted_iterations": count(r.predicted_iterations),
+    }
+
+
 class TestRecordGolden:
+    @pytest.mark.parametrize(
+        "count, label",
+        [
+            (7, None),
+            (2**53 - 1, 2**53 - 1),
+            (2**53, 2**53),
+            (-(2**53), 2**64),
+            (3**126, 2**200 + 1),
+        ],
+    )
+    def test_line_equals_sorted_keys_dump(self, count, label):
+        r = BenchRecord(
+            n_bits=330,
+            gap=label,
+            method="fermat",
+            iterations=count,
+            elapsed_ns=count,
+            outcome="found",
+            seed=label,
+            predicted_iterations=None if label is None else count,
+        )
+        assert record_to_json(r) == json.dumps(_json_fields(r), sort_keys=True)
+
     @pytest.mark.parametrize("value, line", _GOLDEN_LINES)
     def test_line_is_byte_exact(self, value, line):
         r = BenchRecord(

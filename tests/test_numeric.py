@@ -1,11 +1,15 @@
+import hashlib
 import math
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sqfactor import semiprimes
+from sqfactor.bench import run_study
 from sqfactor.numeric import (
     SquareTestResult,
     _mr_witness_passes,
@@ -14,6 +18,7 @@ from sqfactor.numeric import (
     int_to_str,
     is_perfect_square,
     is_probable_prime,
+    json_int,
     residue_filter,
     str_to_int,
 )
@@ -195,15 +200,51 @@ class TestIsProbablePrime:
         assert is_probable_prime(big_prime, rng=random.Random(5)) is True
 
 
+class TestJunkInput:
+    # the public functions off the walk path refuse a non-int n, and
+    # is_probable_prime an rng it would draw from, with ValueError
+    @pytest.mark.parametrize(
+        "func, args, wording",
+        [
+            pytest.param(int_to_str, (None,), "n must be an int, got None", id="int_to_str-None"),
+            pytest.param(int_to_str, (True,), "n must be an int, got True", id="int_to_str-True"),
+            pytest.param(json_int, ("x",), "n must be an int, got 'x'", id="json_int-str"),
+            pytest.param(json_int, (2.0**60,), "n must be an int, got 1.15", id="json_int-float"),
+            pytest.param(is_perfect_square, ("x",), "n must be an int, got 'x'",
+                         id="is_perfect_square-str"),
+            pytest.param(residue_filter, (2.5,), "n must be an int, got 2.5",
+                         id="residue_filter-float"),
+            pytest.param(is_probable_prime, (2**100 + 1, object()),
+                         "rng must have a randrange method, got <object object",
+                         id="is_probable_prime-rng"),
+        ],
+    )
+    def test_raises_value_error(self, func, args, wording):
+        with pytest.raises(ValueError, match=f"^{re.escape(wording)}"):
+            func(*args)
+
+    def test_rng_is_not_checked_where_it_is_not_consulted(self):
+        assert is_probable_prime(97, rng=object()) is True
+        assert is_probable_prime(2**100, rng=object()) is False
+
+    def test_negative_ints_still_convert(self):
+        assert int_to_str(-187) == "-187"
+        assert json_int(-(2**53)) == "-9007199254740992"
+        assert is_perfect_square(-9) == SquareTestResult(False, None)
+
+
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# (n, j): an odd composite that passes the first j prime bases.  The
-# published smallest strong pseudoprimes to the first k prime bases
+# (n, j): an odd composite that passes the first j prime bases.  Most are
+# the published smallest strong pseudoprimes to the first k prime bases
 # (Jaeschke, Math. Comp. 61 (1993); Sorenson & Webster, Math. Comp. 86
-# (2017)) are each tier's bound, and each lies in the next tier up, so
-# it also shows that tier needs more than j witnesses.  2047 = 23 * 89
-# falls to the small-prime screen, so 43**2 and 8321 = 53 * 157 are the
+# (2017)); each tier's bound is one of them and lies in the next tier up,
+# so it also shows that tier needs more witnesses.  2047 = 23 * 89 falls
+# to the small-prime screen, so 43**2 and 8321 = 53 * 157 are the
 # composites that need the first tier's one witness and the second's two.
+# 25326001 and 3215031751, the first 3 and 4 bases' bounds, are no tier's
+# bound: both lie in the {2, 7, 61} tier, which must still reject them.
+# That tier's bound, 4759123141 = 48781 * 97561, passes 2, 7 and 61.
 _STRONG_PSEUDOPRIMES = (
     (1849, 0),
     (2047, 1),
@@ -211,6 +252,7 @@ _STRONG_PSEUDOPRIMES = (
     (1373653, 2),
     (25326001, 3),
     (3215031751, 4),
+    (4759123141, 1),
     (2152302898747, 5),
     (3474749660383, 6),
     (341550071728321, 8),
@@ -260,6 +302,12 @@ class TestWitnessTiers:
         assert all(_mr_witness_passes(n, d, r, a) for a in _PRIME_BASES[:j])
         assert is_probable_prime(n) is False
 
+    def test_the_2_7_61_tier_bound_passes_its_witnesses_and_is_rejected(self):
+        n = 4759123141
+        d, r = _odd_part(n)
+        assert all(_mr_witness_passes(n, d, r, a) for a in (2, 7, 61))
+        assert is_probable_prime(n) is False
+
     @given(
         st.one_of(
             st.sampled_from([n for n, _ in _STRONG_PSEUDOPRIMES]).flatmap(
@@ -279,6 +327,22 @@ class TestWitnessTiers:
         p, q = _next_prime(a), _next_prime(b)
         assert is_probable_prime(p) is True
         assert is_probable_prime(p * q) is False
+
+    def test_ladder_candidate_stream_is_pinned(self, monkeypatch):
+        # every n a 64-bit ladder study hands the prime test, in order: a
+        # change of witnesses must not change which candidates are tested
+        seen = []
+
+        def recording(n, rng=None):
+            seen.append(n)
+            return is_probable_prime(n, rng=rng)
+
+        monkeypatch.setattr(semiprimes, "is_probable_prime", recording)
+        run_study(64, (2**23, 2**24, 2**25), seed=81, methods=("fermat",))
+        digest = hashlib.sha256(",".join(map(str, seen)).encode()).hexdigest()
+        assert (len(seen), digest) == (
+            31, "4aa0a734c49d4404d94efe209d391dd7fe1da5ce9fe040757c236c3002ea29a1"
+        )
 
     @pytest.mark.parametrize(
         "bits, gap_lo, gap_hi, seed, p, q",
