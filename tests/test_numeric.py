@@ -227,10 +227,13 @@ class TestJunkInput:
         assert is_probable_prime(97, rng=object()) is True
         assert is_probable_prime(2**100, rng=object()) is False
 
-    def test_negative_ints_still_convert(self):
-        assert int_to_str(-187) == "-187"
-        assert json_int(-(2**53)) == "-9007199254740992"
-        assert is_perfect_square(-9) == SquareTestResult(False, None)
+    def test_negative_int_subclasses_still_convert(self):
+        class Int(int):
+            pass
+
+        assert int_to_str(Int(-187)) == "-187"
+        assert json_int(Int(-(2**53))) == "-9007199254740992"
+        assert is_perfect_square(Int(-9)) == SquareTestResult(False, None)
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
