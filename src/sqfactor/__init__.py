@@ -5,26 +5,7 @@ the budgeted factor searches (engine), deterministic semiprime
 generation (semiprimes), and the measurement harness (bench).
 """
 
-from .engine import (
-    Budget,
-    BudgetExhausted,
-    FactorOutcome,
-    Found,
-    NoNontrivialFactor,
-    NormalizedInput,
-    SearchState,
-    XScanState,
-    checkpoint_line,
-    fermat_factor,
-    init_search,
-    normalize_input,
-    parse_checkpoint,
-    predict_k,
-    resume_fermat,
-    resume_xscan,
-    step,
-    xscan_factor,
-)
+from .engine import *  # republishes engine.__all__
 from .numeric import (
     SquareTestResult,
     ceil_sqrt,

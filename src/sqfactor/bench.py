@@ -5,9 +5,9 @@ studies can stream to disk and survive interruption.  Values that may
 not fit a double (the gap and the seed always, any count beyond 2**53)
 are emitted as decimal strings; readers accept either form.
 
-Iteration counts are pure functions of (seed, budget), so re-running a
-study reproduces them bit for bit; elapsed_ns is the only field allowed
-to differ between runs.
+Iteration counts are pure functions of (seed, budget) for a budget
+without max_seconds, so re-running such a study reproduces them bit
+for bit; elapsed_ns is then the only field allowed to differ.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import math
 import statistics
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from importlib import resources
-from typing import IO, List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import IO, get_args, get_type_hints
 
 from .engine import (
     Budget,
@@ -39,13 +40,13 @@ METHODS = ("fermat", "xscan")
 @dataclass(frozen=True)
 class BenchRecord:
     n_bits: int
-    gap: Optional[int]  # q - p when known, else None
+    gap: int | None  # q - p when known, else None
     method: str
     iterations: int
     elapsed_ns: int
     outcome: str  # a value of _OUTCOME_NAMES
-    seed: Optional[int] = None
-    predicted_iterations: Optional[int] = None  # (p+q)/2 - ceil_sqrt(n) when p, q known
+    seed: int | None = None
+    predicted_iterations: int | None = None  # (p+q)/2 - ceil_sqrt(n) when p, q known
 
 
 # gap and seed are labels, always decimal strings; counts are JSON numbers
@@ -119,9 +120,9 @@ _OUTCOME_NAMES = {
 def measure(
     n: int,
     method: str = "fermat",
-    budget: Optional[Budget] = None,
-    factors: Optional[Tuple[int, int]] = None,
-    seed: Optional[int] = None,
+    budget: Budget | None = None,
+    factors: tuple[int, int] | None = None,
+    seed: int | None = None,
 ) -> BenchRecord:
     """Run one factorization and record what happened.
 
@@ -158,17 +159,18 @@ def run_study(
     bits: int,
     gaps: Sequence[int],
     seed: int,
-    budget: Optional[Budget] = None,
+    budget: Budget | None = None,
     methods: Sequence[str] = METHODS,
-    sink: Optional[IO[str]] = None,
+    sink: IO[str] | None = None,
     workers: int = 1,
-) -> List[BenchRecord]:
+) -> list[BenchRecord]:
     """Generate a gap ladder and measure every (semiprime, method) cell.
 
     Records come back, and stream to `sink` as JSONL, in ladder order
     (gap, then method) for every `workers`; `workers` > 1 measures the
     cells in a pool of at most one process per cell.  Iteration columns
-    are deterministic for a fixed (seed, budget); wall times are not.
+    are deterministic for a fixed (seed, budget) whose max_seconds is
+    None; wall times are not.
     An infeasible rung raises a ``SkippedWindow`` warning and is skipped;
     the rest proceeds.
     """
@@ -214,7 +216,7 @@ class SummaryRow:
     runs: int
     median_iterations: float
     analytic_iterations: float
-    ratio: Optional[float]  # median / analytic; None when analytic is 0
+    ratio: float | None  # median / analytic; None when analytic is 0
     median_elapsed_ns: float
 
 
@@ -225,7 +227,7 @@ _COLUMNS = tuple(
 )
 
 
-def _cells(row: SummaryRow, ratio_spec: str, no_ratio: str) -> List[str]:
+def _cells(row: SummaryRow, ratio_spec: str, no_ratio: str) -> list[str]:
     """One row's cells in column order, for both the CSV and the text table."""
     cells = []
     for name, spec in _COLUMNS:
@@ -239,7 +241,7 @@ def _cells(row: SummaryRow, ratio_spec: str, no_ratio: str) -> List[str]:
 
 @dataclass(frozen=True)
 class SummaryTable:
-    rows: List[SummaryRow]
+    rows: list[SummaryRow]
 
     def as_csv(self) -> str:
         table = [[name for name, _ in _COLUMNS]] + [_cells(r, ".6g", "") for r in self.rows]

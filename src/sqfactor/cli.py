@@ -74,6 +74,7 @@ def _float_arg(text: str) -> float:
 
 
 def _budget_from(args) -> Budget:
+    # a wall-clock bound already bounds the run, so it lifts the candidate default
     if args.max_iterations is None and args.max_seconds is None:
         return Budget(max_iterations=DEFAULT_MAX_ITERATIONS)
     return Budget(max_iterations=args.max_iterations, max_seconds=args.max_seconds)
@@ -293,11 +294,12 @@ def _parse_gaps(text: str) -> list[int]:
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-iterations", type=_int_arg, default=None, metavar="M",
-        help=f"candidate budget for this run (default {DEFAULT_MAX_ITERATIONS:_})",
+        help=f"candidate budget for this run (default {DEFAULT_MAX_ITERATIONS:_} "
+        "unless --max-seconds is given)",
     )
     sub.add_argument(
         "--max-seconds", type=_float_arg, default=None, metavar="S",
-        help="wall-clock budget for this run",
+        help="wall-clock budget for this run; alone, it replaces the candidate default",
     )
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
 

@@ -105,7 +105,7 @@ _T = 64
 
 def _start_root(n: int) -> int:
     if type(n) is not int:
-        require_int("modulus", n)
+        require_int("modulus", n, None)  # the range check below words the error
     if n < 3 or not n & 1:
         raise ValueError(
             "modulus must be an odd integer >= 3; strip factors of two "
@@ -128,16 +128,11 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
-        # each field's slot descriptor, whose __set__ stores past __setattr__
-        # below, which refuses
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
     @classmethod
     def _trusted(cls, *values):
         self = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(self, value)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)  # past __setattr__ below, which refuses
         return self
 
     def _values(self) -> tuple:
@@ -242,6 +237,8 @@ def init_search(n: int) -> SearchState:
 
 def step(state: SearchState) -> SearchState:
     """Advance one candidate using the additive deficit recurrence."""
+    if not isinstance(state, SearchState):
+        raise ValueError(f"step needs a SearchState, got {type(state).__name__}")
     n, y0, k, d = state.n, state.y0, state.k, state.d
     return SearchState._trusted(n, y0, k + 1, d + 2 * y0 + 2 * k + 1)
 
@@ -250,13 +247,20 @@ def step(state: SearchState) -> SearchState:
 
 def checkpoint_line(state: SearchState | XScanState) -> str:
     """One-line key=value form; decimal at any width, reload-exact."""
-    n, y0 = int_to_str(state.n), int_to_str(state.y0)
     if isinstance(state, SearchState):
-        return f"n={n} y0={y0} k={int_to_str(state.k)}"
-    return f"n={n} y0={y0} x={int_to_str(state.x)}"
+        key, value = "k", state.k
+    elif isinstance(state, XScanState):
+        key, value = "x", state.x
+    else:
+        raise ValueError(
+            f"checkpoint_line needs a SearchState or an XScanState, got {type(state).__name__}"
+        )
+    return f"n={int_to_str(state.n)} y0={int_to_str(state.y0)} {key}={int_to_str(value)}"
 
 
 def parse_checkpoint(line: str) -> SearchState | XScanState:
+    if not isinstance(line, str):
+        raise ValueError(f"a checkpoint must be a str, got {type(line).__name__}")
     fields = {}
     for token in line.split():
         key, _, value = token.partition("=")
@@ -504,7 +508,7 @@ class NormalizedInput(_Record):
 def normalize_input(n: int) -> NormalizedInput:
     """Strip all factors of two from n >= 2."""
     if type(n) is not int:
-        require_int("modulus", n)
+        require_int("modulus", n, None)
     if n < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {shown(n)}")
     twos = (n & -n).bit_length() - 1  # n & -n is the lowest set bit of n

@@ -87,6 +87,8 @@ def str_to_int(text: str) -> int:
     >>> str_to_int(" +1_87 ")
     187
     """
+    if not isinstance(text, str):  # int() would also take a float, a bool or bytes
+        raise ValueError(f"not a decimal integer string: {shown(text)}")
     try:
         return int(text)
     except ValueError:  # bad syntax, or valid syntax past the int/str digit limit
@@ -258,7 +260,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
     it would be consulted.
     """
     if type(n) is not int:
-        require_int("n", n)
+        require_int("n", n, None)
     if n < _DETERMINISTIC_BOUND:
         if n < 43:
             return n in _DETERMINISTIC_WITNESSES

@@ -25,8 +25,8 @@ gap makes n too wide, so no request hangs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
 
 from .numeric import int_to_str, is_probable_prime, require_int, shown
 
@@ -116,7 +116,7 @@ class GeneratedSemiprime:
         return {f.name: int_to_str(getattr(self, f.name)) for f in fields(self)}
 
 
-def _first_prime(lo: int, hi: int, rng: SplitMix64) -> Optional[int]:
+def _first_prime(lo: int, hi: int, rng: SplitMix64) -> int | None:
     """First probable prime among the odd t in [lo, hi], tested in ascending order."""
     for t in range(lo | 1, hi + 1, 2):
         if is_probable_prime(t, rng=rng):
@@ -167,7 +167,7 @@ def generate(spec: SemiprimeSpec) -> GeneratedSemiprime:
     return generate_in_window(spec.bits, lo, spec.max_gap, spec.seed)
 
 
-def ladder_windows(gaps: Sequence[int]) -> List[Tuple[int, int]]:
+def ladder_windows(gaps: Sequence[int]) -> list[tuple[int, int]]:
     """Disjoint gap windows [previous bound + 1, bound] for a ladder.
 
     A zero bound (only sensible first) requests exactly gap 0.
@@ -185,7 +185,7 @@ def ladder_windows(gaps: Sequence[int]) -> List[Tuple[int, int]]:
     return windows
 
 
-def rung_seeds(seed: int, count: int) -> List[int]:
+def rung_seeds(seed: int, count: int) -> list[int]:
     """Per-rung seeds: successive words of a splitmix stream over `seed`."""
     master = SplitMix64(seed)
     return [master.next_word() for _ in range(require_int("count", count))]

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from sqfactor.bench import record_from_json
-from sqfactor.cli import main, parse_modulus
+from sqfactor.cli import DEFAULT_MAX_ITERATIONS, _budget_from, build_parser, main, parse_modulus
+from sqfactor.engine import Budget
 from sqfactor.numeric import ceil_sqrt, shown
 
 
@@ -128,6 +129,24 @@ class TestBudgetsAndResume:
         code, _, err = run_cli(capsys, "factor", "187", "--max-seconds", "nan")
         assert code == 1
         assert "max_seconds must be finite and positive" in err
+
+    @pytest.mark.parametrize(
+        "flags, budget",
+        [
+            ((), Budget(max_iterations=DEFAULT_MAX_ITERATIONS)),
+            # a wall-clock bound already bounds the run, so alone it lifts the default
+            (("--max-seconds", "2.5"), Budget(max_seconds=2.5)),
+            (("--max-seconds", "2.5", "--max-iterations", "7"), Budget(7, 2.5)),
+        ],
+        ids=["no-flag", "seconds-only", "both"],
+    )
+    @pytest.mark.parametrize("command", ["factor", "xscan", "bench"])
+    def test_budget_from_flags(self, command, flags, budget):
+        head = ["--bits", "24", "--gaps", "8", "--seed", "0", "--out", "r.jsonl"]
+        args = build_parser().parse_args(
+            [command] + (head if command == "bench" else ["187"]) + list(flags)
+        )
+        assert _budget_from(args) == budget
 
     def test_time_budget(self, capsys):
         n = (2**89 - 1) * (2**107 - 1)

@@ -437,6 +437,28 @@ class TestResumeStateType:
         with pytest.raises(ValueError, match="resume_xscan needs an XScanState, got SearchState"):
             resume_xscan(state)
 
+    @pytest.mark.parametrize(
+        "func, arg, wording",
+        [
+            pytest.param(step, None, "step needs a SearchState, got NoneType", id="step-None"),
+            pytest.param(step, XScanState(187, 14, 0), "step needs a SearchState, got XScanState",
+                         id="step-XScanState"),
+            pytest.param(checkpoint_line, None,
+                         "checkpoint_line needs a SearchState or an XScanState, got NoneType",
+                         id="checkpoint_line-None"),
+            pytest.param(checkpoint_line, Budget(1),
+                         "checkpoint_line needs a SearchState or an XScanState, got Budget",
+                         id="checkpoint_line-Budget"),
+            pytest.param(parse_checkpoint, None, "a checkpoint must be a str, got NoneType",
+                         id="parse_checkpoint-None"),
+            pytest.param(parse_checkpoint, b"n=187 y0=14 k=0", "a checkpoint must be a str, got bytes",
+                         id="parse_checkpoint-bytes"),
+        ],
+    )
+    def test_junk_is_a_value_error_naming_its_type(self, func, arg, wording):
+        with pytest.raises(ValueError, match=f"^{wording}$"):
+            func(arg)
+
 
 class TestOutcomes:
     # outcomes are NamedTuples; this pins what callers saw of the old frozen dataclasses

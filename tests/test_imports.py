@@ -44,18 +44,23 @@ def _lazy_among(modules) -> list:
     return sorted(m for m in modules if m in _LAZY or m.split(".")[0] == "multiprocessing")
 
 
+def _imported(stderr: str) -> set:
+    # -X importtime names every module a process loads on stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def _factor_process_loads(*flags) -> set:
-    # a whole `factor` process; -X importtime names every module it loads on stderr
+    # a whole `factor` process
     run = subprocess.run(
         [sys.executable, *flags, "-X", "importtime", "-m", "sqfactor", "factor", "187"],
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
     assert run.stdout == "p=11 q=17 k=0 iterations=0\n"
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in run.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    return _imported(run.stderr)
 
 
 def test_cli_import_loads_no_process_pool():
@@ -83,6 +88,37 @@ def test_factor_process_without_site_loads_no_typing():
     # the outcomes are collections.namedtuples and the annotations PEP 604
     # strings, so nothing on the factor path needs typing
     assert "typing" not in _factor_process_loads("-S")
+
+
+def test_generate_process_without_site_loads_no_typing():
+    # semiprimes annotates in PEP 604 form and takes Sequence from
+    # collections.abc; only bench reads its hints through typing
+    run = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "sqfactor",
+         "generate", "--bits", "64", "--max-gap", "65536", "--seed", "123"],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert json.loads(run.stdout)["n"] == "14487284227570642567"
+    loaded = _imported(run.stderr)
+    assert "sqfactor.semiprimes" in loaded
+    assert "typing" not in loaded
+
+
+def test_package_publishes_engine_all_and_six_numeric_names():
+    # in a fresh process, since importing a submodule such as bench binds its name too
+    probe = "import sqfactor; print(*(n for n in dir(sqfactor) if n[0] != '_'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    ).stdout
+    assert out.split() == [
+        "Budget", "BudgetExhausted", "FactorOutcome", "Found", "NoNontrivialFactor",
+        "NormalizedInput", "SearchState", "SquareTestResult", "XScanState", "ceil_sqrt",
+        "checkpoint_line", "engine", "fermat_factor", "floor_sqrt", "init_search",
+        "is_perfect_square", "is_probable_prime", "normalize_input", "numeric",
+        "parse_checkpoint", "predict_k", "residue_filter", "resume_fermat", "resume_xscan",
+        "step", "xscan_factor",
+    ]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sqfactor import semiprimes
 from sqfactor.bench import run_study
+from sqfactor.engine import fermat_factor, normalize_input
 from sqfactor.numeric import (
     SquareTestResult,
     _mr_witness_passes,
@@ -217,6 +218,13 @@ class TestJunkInput:
             pytest.param(is_probable_prime, (2**100 + 1, object()),
                          "rng must have a randrange method, got <object object",
                          id="is_probable_prime-rng"),
+            # int() alone would take these, as 7, 1 and 187
+            pytest.param(str_to_int, (7.9,), "not a decimal integer string: 7.9",
+                         id="str_to_int-float"),
+            pytest.param(str_to_int, (True,), "not a decimal integer string: True",
+                         id="str_to_int-True"),
+            pytest.param(str_to_int, (b"187",), "not a decimal integer string: b'187'",
+                         id="str_to_int-bytes"),
         ],
     )
     def test_raises_value_error(self, func, args, wording):
@@ -234,6 +242,17 @@ class TestJunkInput:
         assert int_to_str(Int(-187)) == "-187"
         assert json_int(Int(-(2**53))) == "-9007199254740992"
         assert is_perfect_square(Int(-9)) == SquareTestResult(False, None)
+
+        # the range checks word the answer, as they do for the plain int
+        def answer(func, n):
+            try:
+                return func(n)
+            except ValueError as exc:
+                return str(exc)
+
+        for func in (is_probable_prime, fermat_factor, normalize_input):
+            for n in (-5, 1, 2):
+                assert answer(func, Int(n)) == answer(func, n), (func.__name__, n)
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
