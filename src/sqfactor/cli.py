@@ -27,7 +27,7 @@ from .engine import (
     resume_xscan,
     xscan_factor,
 )
-from .numeric import int_to_str, json_int, require_int, shown, str_to_int
+from .numeric import int_to_str, is_probable_prime, json_int, require_int, shown, str_to_int
 
 DEFAULT_MAX_ITERATIONS = 10**8  # library default is unlimited; the CLI is not
 
@@ -80,16 +80,17 @@ def _budget_from(args) -> Budget:
     return Budget(max_iterations=args.max_iterations, max_seconds=args.max_seconds)
 
 
-def _emit_json(obj) -> int:
-    import json  # not loaded by a factor/xscan run without --json
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
-    return _EXIT_OK
+def _emit(doc, text: str, as_json: bool) -> None:
+    """Write a result: doc as one JSON line under --json, else text as given."""
+    if as_json:
+        import json  # not loaded by a factor/xscan run without --json
+        text = json.dumps(doc) + "\n"
+    sys.stdout.write(text)
 
 
 def _fail(message: str, as_json: bool) -> int:
     if as_json:
-        _emit_json({"error": message})
+        _emit({"error": message}, "", True)
     else:
         print(f"error: {message}", file=sys.stderr)
     return _EXIT_USAGE
@@ -116,53 +117,37 @@ def _load_checkpoint(path: str):
     return parse_checkpoint(lines[-1])  # last line wins, files are appendable
 
 
-def _split_result(n: int, norm, method: str, outcome) -> tuple[dict, int]:
-    """The result document of one split, in output key order, and its exit code."""
+def _split_result(n: int, norm, method: str, outcome) -> tuple[dict, str, int]:
+    """The result document of one split, in output key order, its text
+    form, and its exit code."""
     doc = {"n": int_to_str(n), "twos": norm.two_exponent, "method": method}
+    iterations = json_int(outcome.iterations)
     if isinstance(outcome, BudgetExhausted):
         line = checkpoint_line(outcome.resume)
         doc.update(
             outcome="budget_exhausted",
-            iterations=json_int(outcome.iterations),
+            iterations=iterations,
             checkpoint=line,
             resume=dict(token.split("=") for token in line.split()),
         )
-        return doc, _EXIT_EXHAUSTED
+        return doc, line + "\n", _EXIT_EXHAUSTED
     factors = norm.two_factors()
+    text = None
     if isinstance(outcome, Found):
-        doc.update(
-            outcome="found",
-            p=int_to_str(outcome.p),
-            q=int_to_str(outcome.q),
-            k=json_int(outcome.k),
-            iterations=json_int(outcome.iterations),
-        )
+        p, q, k = int_to_str(outcome.p), int_to_str(outcome.q), json_int(outcome.k)
+        doc.update(outcome="found", p=p, q=q, k=k, iterations=iterations)
         factors += [outcome.p, outcome.q]
+        if not norm.two_exponent:
+            text = f"p={p} q={q} k={k} iterations={iterations}\n"
     else:
         if not norm.is_fully_factored:
             factors.append(norm.residual)  # the walk found the odd residual prime
         if len(factors) < 2:  # n itself is prime
-            doc.update(outcome="no_factor", iterations=json_int(outcome.iterations), factors=None)
-            return doc, _EXIT_NO_FACTOR
-        doc.update(outcome="complete", iterations=json_int(outcome.iterations))
+            doc.update(outcome="no_factor", iterations=iterations, factors=None)
+            return doc, f"no nontrivial factor (iterations={iterations})\n", _EXIT_NO_FACTOR
+        doc.update(outcome="complete", iterations=iterations)
     doc["factors"] = [int_to_str(f) for f in factors]
-    return doc, _EXIT_OK
-
-
-def _print_text(doc: dict) -> None:
-    if doc["outcome"] == "budget_exhausted":
-        print(doc["checkpoint"])
-        print(
-            f"budget exhausted after {doc['iterations']} iterations; "
-            "save the line above and continue with --resume",
-            file=sys.stderr,
-        )
-    elif doc["outcome"] == "no_factor":
-        print(f"no nontrivial factor (iterations={doc['iterations']})")
-    elif doc["outcome"] == "found" and not doc["twos"]:
-        print(f"p={doc['p']} q={doc['q']} k={doc['k']} iterations={doc['iterations']}")
-    else:
-        print(" × ".join(doc["factors"]))
+    return doc, text or (" × ".join(doc["factors"]) + "\n"), _EXIT_OK
 
 
 def _run_split(args) -> int:
@@ -192,15 +177,25 @@ def _run_split(args) -> int:
         budget = _budget_from(args)
         if state is not None:
             outcome = (resume_fermat if fermat else resume_xscan)(state, budget, progress)
+            # the walk ruled out only the candidates from the checkpoint on, so
+            # it proves nothing prime; a failed Miller-Rabin round proves n composite
+            if isinstance(outcome, NoNontrivialFactor) and not is_probable_prime(state.n):
+                raise ValueError(
+                    f"checkpoint is past a split: {shown(state.n)} is composite, "
+                    "but the walk from the checkpoint on found no factor"
+                )
         else:
             walk = fermat_factor if fermat else xscan_factor
             outcome = walk(norm.residual, budget, progress)
 
-    doc, code = _split_result(n, norm, args.method, outcome)
-    if args.json:
-        _emit_json(doc)
-    else:
-        _print_text(doc)
+    doc, text, code = _split_result(n, norm, args.method, outcome)
+    _emit(doc, text, args.json)
+    if code == _EXIT_EXHAUSTED and not args.json:
+        print(
+            f"budget exhausted after {doc['iterations']} iterations; "
+            "save the line above and continue with --resume",
+            file=sys.stderr,
+        )
     return code
 
 
@@ -213,10 +208,7 @@ def _cmd_generate(args) -> int:
         generate(replace(spec, seed=(spec.seed + i) & _MASK64)).as_json_dict()
         for i in range(require_int("count", args.count))
     ]
-    if args.json:
-        return _emit_json(items)
-    for obj in items:
-        print(json.dumps(obj, sort_keys=True))
+    _emit(items, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in items), args.json)
     return _EXIT_OK
 
 
@@ -267,20 +259,16 @@ def _cmd_bench(args) -> int:
         with open(args.summary_csv, "w", encoding="utf-8") as fh:
             fh.write(csv)
 
-    if args.json:
-        return _emit_json(
-            {
-                "records": [json.loads(record_to_json(r)) for r in records],
-                "summary_csv": csv,
-                "summary_note": note,
-                "skipped": [[int_to_str(w.lo), int_to_str(w.hi)] for w in skipped],
-            }
-        )
-    print(f"wrote {len(records)} records to {args.out}")
-    if summary is None:
+    doc = {
+        "records": [json.loads(record_to_json(r)) for r in records],
+        "summary_csv": csv,
+        "summary_note": note,
+        "skipped": [[int_to_str(w.lo), int_to_str(w.hi)] for w in skipped],
+    }
+    text = f"wrote {len(records)} records to {args.out}\n"
+    _emit(doc, text if summary is None else text + summary.as_text(), args.json)
+    if summary is None and not args.json:
         print(f"summary skipped: {note}", file=sys.stderr)
-    else:
-        print(summary.as_text(), end="")
     return _EXIT_OK
 
 

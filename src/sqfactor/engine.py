@@ -434,7 +434,12 @@ def resume_fermat(
     budget: Budget | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> FactorOutcome:
-    """Continue an exhausted y-walk; examines candidates k, k+1, ..."""
+    """Continue an exhausted y-walk; examines candidates k, k+1, ...
+
+    A NoNontrivialFactor from here rules out only the candidates from
+    state.k on: for a state past a split, such as an edited checkpoint
+    line, it does not prove n prime.
+    """
     if not isinstance(state, SearchState):
         raise ValueError(f"resume_fermat needs a SearchState, got {type(state).__name__}")
     return _walk(_y_state, state.n, state.y0, state.y0, -state.n, state.k, budget, progress)
@@ -474,7 +479,12 @@ def resume_xscan(
     budget: Budget | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> FactorOutcome:
-    """Continue an exhausted x-walk; examines candidates x, x+1, ..."""
+    """Continue an exhausted x-walk; examines candidates x, x+1, ...
+
+    A NoNontrivialFactor from here rules out only the candidates from
+    state.x on: for a state past a split, such as an edited checkpoint
+    line, it does not prove n prime.
+    """
     if not isinstance(state, XScanState):
         raise ValueError(f"resume_xscan needs an XScanState, got {type(state).__name__}")
     return _walk(_x_state, state.n, state.y0, 0, state.n, state.x, budget, progress)

@@ -17,7 +17,10 @@ The square detector is split in two layers:
 * ``is_perfect_square`` runs the filter, then confirms survivors with an
   exact integer square root.
 
-``floor_sqrt`` and ``ceil_sqrt`` are ``math.isqrt`` and its ceiling.
+``floor_sqrt`` and ``ceil_sqrt`` are ``math.isqrt`` and its ceiling,
+except that like every public function here they refuse a bool, a
+float, a string or None with ValueError where ``math.isqrt`` would
+take True as 1 or raise TypeError.
 
 ``is_probable_prime`` is exact below 3.3e24: a gcd with the product of
 the witness primes 2..41 screens out their multiples, and a survivor
@@ -45,20 +48,26 @@ from collections import namedtuple
 
 
 def floor_sqrt(n: int) -> int:
-    """Largest r with r*r <= n; ValueError for negative n.
+    """Largest r with r*r <= n; ValueError for negative n, and for an n
+    that ``require_int`` refuses.
 
     >>> floor_sqrt(187)
     13
     """
+    if type(n) is not int:
+        require_int("n", n, None)
     return math.isqrt(n)
 
 
 def ceil_sqrt(n: int) -> int:
-    """Smallest r with r*r >= n; ValueError for negative n.
+    """Smallest r with r*r >= n; ValueError for negative n, and for an n
+    that ``require_int`` refuses.
 
     >>> ceil_sqrt(187)
     14
     """
+    if type(n) is not int:
+        require_int("n", n, None)
     r = math.isqrt(n)
     return r if r * r == n else r + 1
 

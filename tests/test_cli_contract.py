@@ -4,11 +4,9 @@ Every argv gets an answer: ``main`` returns 0, 1, 2 or 3 and raises
 nothing.  Exit 1 is one ``error:`` line on stderr, or under ``--json``
 one ``{"error": ...}`` document and an empty stderr, either way under
 200 bytes.  Exit 0's factors multiply back to n.  Exit 2 means n is
-prime, unless the run resumed an edited checkpoint: a line whose k or x
-was moved past the hit is a valid state, and the walk trusts that the
-candidates before it were examined.  Exit 3's checkpoint parses, and
-resuming it reaches the outcome of the same run without a budget.  The
-text and ``--json`` forms of a run agree.
+prime, also after a resume.  Exit 3's checkpoint parses, and resuming
+it reaches the outcome of the same run without a budget.  The text and
+``--json`` forms of a run agree.
 """
 
 import contextlib
@@ -175,7 +173,7 @@ def test_every_argv_gets_a_contract_answer(command, modulus, flags, progress, re
         if code == 0:
             assert math.prod(int(f) for f in doc["factors"]) == n
         if code == 2:
-            assert is_probable_prime(n) or resume == "mutated"
+            assert is_probable_prime(n)
         assert (out, err) == _text_form(code, doc)
         assert jerr == ""
 

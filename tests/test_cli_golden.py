@@ -2,15 +2,26 @@
 
 Every branch that turns an outcome into output is pinned here byte for
 byte: stdout (UTF-8, including key order of the JSON documents), stderr
-and the exit code.  ``{ckpt}`` in an argument list stands for a
-checkpoint file holding the walk's line from ``CHECKPOINTS``.
+and the exit code.  A key of ``CHECKPOINTS`` in an argument list, such
+as ``{ckpt}``, stands for a checkpoint file holding that key's line for
+the walk.
 """
 
 import pytest
 
 from sqfactor.cli import main
 
-CHECKPOINTS = {"factor": "n=5959 y0=78 k=1\n", "xscan": "n=5959 y0=78 x=2\n"}
+CHECKPOINTS = {
+    "{ckpt}": {"factor": "n=5959 y0=78 k=1\n", "xscan": "n=5959 y0=78 x=2\n"},
+    # past the split 187 = 11 * 17, which the walks reach at k=0 and x=3
+    "{past}": {"factor": "n=187 y0=14 k=1\n", "xscan": "n=187 y0=14 x=4\n"},
+    "{prime}": {"factor": "n=17 y0=5 k=1\n", "xscan": "n=17 y0=5 x=1\n"},
+}
+
+PAST_SPLIT = (
+    "checkpoint is past a split: 187 is composite, "
+    "but the walk from the checkpoint on found no factor"
+)
 
 EXHAUSTED_NOTE = (
     "budget exhausted after {} iterations; "
@@ -93,6 +104,20 @@ GOLDEN = [
     (["xscan", "5959", "--resume", "{ckpt}", "--json"], 0,
      '{"n": "5959", "twos": 0, "method": "xscan", "outcome": "found", "p": "59", '
      '"q": "101", "k": 2, "iterations": 21, "factors": ["59", "101"]}\n', ""),
+    # a resumed walk that ends without a factor is checked for primality
+    (["factor", "187", "--resume", "{past}"], 1, "", f"error: {PAST_SPLIT}\n"),
+    (["factor", "187", "--resume", "{past}", "--json"], 1,
+     f'{{"error": "{PAST_SPLIT}"}}\n', ""),
+    (["xscan", "187", "--resume", "{past}"], 1, "", f"error: {PAST_SPLIT}\n"),
+    (["xscan", "187", "--resume", "{past}", "--json"], 1,
+     f'{{"error": "{PAST_SPLIT}"}}\n', ""),
+    (["factor", "374", "--resume", "{past}"], 1, "", f"error: {PAST_SPLIT}\n"),
+    (["factor", "374", "--resume", "{past}", "--json"], 1,
+     f'{{"error": "{PAST_SPLIT}"}}\n', ""),
+    (["factor", "17", "--resume", "{prime}"], 2, "no nontrivial factor (iterations=4)\n", ""),
+    (["xscan", "17", "--resume", "{prime}", "--json"], 2,
+     '{"n": "17", "twos": 0, "method": "xscan", "outcome": "no_factor", '
+     '"iterations": 8, "factors": null}\n', ""),
 ]
 
 
@@ -101,8 +126,10 @@ GOLDEN = [
 )
 def test_split_output_is_byte_exact(capsysbinary, tmp_path, argv, code, stdout, stderr):
     ckpt = tmp_path / "walk.ckpt"
-    ckpt.write_text(CHECKPOINTS[argv[0]], encoding="utf-8")
-    argv = [str(ckpt) if a == "{ckpt}" else a for a in argv]
+    for a in argv:
+        if a in CHECKPOINTS:
+            ckpt.write_text(CHECKPOINTS[a][argv[0]], encoding="utf-8")
+    argv = [str(ckpt) if a in CHECKPOINTS else a for a in argv]
     assert main(argv) == code
     captured = capsysbinary.readouterr()
     assert captured.out == stdout.encode("utf-8")

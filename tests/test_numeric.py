@@ -202,8 +202,8 @@ class TestIsProbablePrime:
 
 
 class TestJunkInput:
-    # the public functions off the walk path refuse a non-int n, and
-    # is_probable_prime an rng it would draw from, with ValueError
+    # the public functions refuse a non-int n, and is_probable_prime an
+    # rng it would draw from, with ValueError
     @pytest.mark.parametrize(
         "func, args, wording",
         [
@@ -215,6 +215,13 @@ class TestJunkInput:
                          id="is_perfect_square-str"),
             pytest.param(residue_filter, (2.5,), "n must be an int, got 2.5",
                          id="residue_filter-float"),
+            # math.isqrt alone would take True as 1, and raise TypeError for the rest
+            pytest.param(floor_sqrt, (True,), "n must be an int, got True", id="floor_sqrt-True"),
+            pytest.param(floor_sqrt, (2.0,), "n must be an int, got 2.0", id="floor_sqrt-float"),
+            pytest.param(floor_sqrt, ("4",), "n must be an int, got '4'", id="floor_sqrt-str"),
+            pytest.param(ceil_sqrt, (True,), "n must be an int, got True", id="ceil_sqrt-True"),
+            pytest.param(ceil_sqrt, (None,), "n must be an int, got None", id="ceil_sqrt-None"),
+            pytest.param(ceil_sqrt, ("4",), "n must be an int, got '4'", id="ceil_sqrt-str"),
             pytest.param(is_probable_prime, (2**100 + 1, object()),
                          "rng must have a randrange method, got <object object",
                          id="is_probable_prime-rng"),
@@ -242,6 +249,10 @@ class TestJunkInput:
         assert int_to_str(Int(-187)) == "-187"
         assert json_int(Int(-(2**53))) == "-9007199254740992"
         assert is_perfect_square(Int(-9)) == SquareTestResult(False, None)
+        assert (floor_sqrt(Int(187)), ceil_sqrt(Int(187))) == (13, 14)
+        for func in (floor_sqrt, ceil_sqrt):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                func(Int(-1))
 
         # the range checks word the answer, as they do for the plain int
         def answer(func, n):
