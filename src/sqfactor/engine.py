@@ -44,15 +44,17 @@ square s*s, which yields y = s directly.  Both scans return identical
 Both walks seek the first j for which (a + j)**2 + c is a perfect
 square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
 One kernel, _scan, runs that search over j in i, ..., end - 1.  It
-steps u = a + j from one value to the next that one mod-64 step table
-allows, and takes an exact root only of candidates that can also be
-squares modulo 63, 65 and 11.  c is odd, so there are 32 step tables,
-each built on first use into the list _steps, their one cache.  Below
-index _T the kernel carries t = u*u + c and screens t; from _T on it
-screens u by its residues modulo the three, all small ints, and builds
-t only for a u that passes.  That saves the big-int work per candidate
-on a long walk, and a tiny split, over before _T, skips the set-up of
-the u-screens.  The driver, _walk, calls the kernel once per slice of
+steps u = a + j from one value to the next that one step table allows:
+keyed by c mod 704 = 64*11, it skips every u for which u*u + c cannot
+be a square modulo 64 or modulo 11, so those two screens cost nothing
+per candidate.  The kernel takes an exact root only of the candidates
+that can also be squares modulo 63 and 65.  c is odd, so there are 352
+step tables, each built on first use into the list _steps, their one
+cache.  Below index _T the kernel carries t = u*u + c and screens t;
+from _T on it screens u by its residues modulo 63 and 65, small ints,
+and builds t only for a u that passes.  That saves the big-int work
+per candidate on a long walk, and a tiny split, over before _T, skips
+the set-up of the u-screens.  The driver, _walk, calls the kernel once per slice of
 _SLICE candidates and owns everything else: the stop index a budget
 sets, the deadline and the progress callback (both serviced after each
 finished slice, in one block that reads the clock once, so the kernel
@@ -96,10 +98,10 @@ __all__ = [
 # progress callback are serviced.
 _SLICE = 1 << 14
 _PROGRESS_INTERVAL = 1.0
-_SCREENS = tuple(SQUARE_RESIDUES[m] for m in (63, 65, 11))  # the kernel's 63/65/11 screens
+_SCREENS = (SQUARE_RESIDUES[63], SQUARE_RESIDUES[65])  # the kernel's screens past the step table
 # Walk index from which _scan screens u by its residues instead of building
-# u*u + c for each candidate: one mod-64 period, past the window length at
-# which the u-screens' set-up pays for itself (10-32 candidates by timeit).
+# u*u + c for each candidate: past the window length at which the
+# u-screens' set-up pays for itself (10-32 candidates by timeit).
 _T = 64
 
 
@@ -343,23 +345,36 @@ def _walk(
     return tuple.__new__(BudgetExhausted, (i, new_state(n, y0, i)))
 
 
-def _step_table(c_mod_64: int) -> tuple:
-    """Distance from each u mod 64 to the next u' > u for which u'*u' + c
-    can be a square mod 64."""
-    sq64 = SQUARE_RESIDUES[64]
-    allowed = [v for v in range(64) if sq64[(v * v + c_mod_64) % 64]]
-    # both walks end at the trivial representation, a square, so the
-    # allowed set is never empty and every distance is at most 64
-    return tuple(1 + min((v - r - 1) % 64 for v in allowed) for r in range(64))
+_DOWN = bytes(range(255, 0, -1))  # _DOWN[255 - g:] counts down g, g - 1, ..., 1
 
 
-# _step_table(c & 63) at index c & 63, filled by _scan on first use: the
+def _step_table(c_mod_704: int) -> bytes:
+    """Distance from each u mod 704 to the next u' > u for which u'*u' + c
+    can be a square both mod 64 and mod 11.
+
+    The allowed u mod 704 come by CRT from those mod 64 and mod 11
+    (u = 385*v + 320*w mod 704 has u = v mod 64 and u = w mod 11), and
+    a run of g entries before each allowed u counts down g, ..., 1.
+    """
+    sq64, sq11 = SQUARE_RESIDUES[64], SQUARE_RESIDUES[11]
+    u64 = [385 * v for v in range(64) if sq64[(v * v + c_mod_704) % 64]]
+    u11 = [320 * w for w in range(11) if sq11[(w * w + c_mod_704) % 11]]
+    # both walks end at the trivial representation, a square, so neither
+    # list is empty; the largest distance is 82, so each fits in a byte
+    allowed = sorted([(x + y) % 704 for x in u64 for y in u11])
+    allowed.append(allowed[0] + 704)  # the first allowed u of the next period
+    runs = [_DOWN[255 - allowed[0]:]]
+    runs += [_DOWN[255 - (y - x):] for x, y in zip(allowed, allowed[1:])]
+    return b"".join(runs)[:704]
+
+
+# _step_table(c % 704) at index c % 704, filled by _scan on first use: the
 # one cache of step tables, since a list index per _scan call costs less
 # than an lru_cache lookup
-_steps = [None] * 64
+_steps = [None] * 704
 
 
-@lru_cache(maxsize=None)  # keys (m, c % m): at most 63 + 65 + 11 of them
+@lru_cache(maxsize=None)  # keys (m, c % m): at most 63 + 65 of them
 def _u_screen(m: int, c_mod_m: int) -> bytes:
     """Entry r is 1 iff r*r + c can be a square mod m."""
     squares = SQUARE_RESIDUES[m]
@@ -370,45 +385,50 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
     r*r, or None.
 
-    Both stages step u from one value the mod-64 step table allows to
+    Both stages step u from one value the mod-704 step table allows to
     the next, so they examine the same u and differ only in what they
     screen.  Below walk index _T the loop carries t = u*u + c and
-    screens t mod 63, 65 and 11; from _T on it screens u mod 63, 65
-    and 11, small ints, and builds t only for a u that passes all three.
+    screens t mod 63 and 65; from _T on it screens u mod 63 and 65,
+    small ints, and builds t only for a u that passes both.
     """
-    steps = _steps[c & 63]  # c mod 64, also for negative c
+    key = c % 704  # nonnegative also for negative c
+    steps = _steps[key]
     if steps is None:
-        steps = _steps[c & 63] = _step_table(c & 63)
+        steps = _steps[key] = _step_table(key)
     if i < _T:
-        sq63, sq65, sq11 = _SCREENS
+        sq63, sq65 = _SCREENS
         u = a + i - 1
-        u += steps[u & 63]  # the first allowed u >= a + i
+        u += steps[u % 704]  # the first allowed u >= a + i
         u_end = a + end if end < _T else a + _T
         t = u * u + c
         while u < u_end:
-            if sq63[t % 63] and sq65[t % 65] and sq11[t % 11]:
+            if sq63[t % 63] and sq65[t % 65]:
                 r = math.isqrt(t)
                 if r * r == t:
                     return u, r
-            s = steps[u & 63]
+            s = steps[u % 704]
             t += s * (2 * u + s)
             u += s
         if end <= _T:
             return None
         i = _T
-    s63, s65, s11 = _u_screen(63, c % 63), _u_screen(65, c % 65), _u_screen(11, c % 11)
-    u0 = a + i  # u = u0 + v with v < end - i, so u % m == (v + u0 % m) % m
-    o64, o63, o65, o11 = u0 & 63, u0 % 63, u0 % 65, u0 % 11
-    v = steps[(o64 - 1) & 63] - 1  # the first allowed v >= 0
-    end -= i
+    s63, s65 = _u_screen(63, c % 63), _u_screen(65, c % 65)
+    # u = base + v with base a multiple of 704, so v % 704 == u % 704 and
+    # u % m == (v + base % m) % m, and v stays a small int
+    u0 = a + i
+    base = u0 - u0 % 704
+    o63, o65 = base % 63, base % 65
+    v = u0 - base - 1
+    v += steps[v % 704]  # the first allowed u >= u0
+    end = a + end - base
     while v < end:
-        if s63[(v + o63) % 63] and s65[(v + o65) % 65] and s11[(v + o11) % 11]:
-            u = u0 + v
+        if s63[(v + o63) % 63] and s65[(v + o65) % 65]:
+            u = base + v
             t = u * u + c
             r = math.isqrt(t)
             if r * r == t:
                 return u, r
-        v += steps[(v + o64) & 63]
+        v += steps[v % 704]
     return None
 
 

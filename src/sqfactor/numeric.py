@@ -131,7 +131,8 @@ def shown(value) -> str:
     """How an error message quotes value: an int over 64 bits wide by its
     bit length, a string over 40 characters by a 24-character prefix and
     its length, and anything else by its repr, which the string rule
-    shortens in turn above 40 characters.
+    shortens in turn above 40 characters.  A value whose repr fails, as
+    a list holding an int past the int/str digit limit does, by its type.
 
     >>> shown(187)
     '187'
@@ -139,10 +140,15 @@ def shown(value) -> str:
     'a negative 101-bit integer'
     >>> shown("z" * 50)
     "'zzzzzzzzzzzzzzzzzzzzzzzz'... (50 characters)"
+    >>> shown([10**5000])
+    'a list with no repr'
     """
     if isinstance(value, int) and value.bit_length() > 64:
         return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
-    text = value if isinstance(value, str) else repr(value)
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} with no repr"
     if len(text) <= 40:
         return repr(value)
     return f"{text[:24]!r}... ({len(text)} characters)"

@@ -29,6 +29,7 @@ from sqfactor.engine import (
     resume_xscan,
     step,
     _scan,
+    _step_table,
     _steps,
     _u_screen,
     _y_state,
@@ -849,8 +850,8 @@ class TestKernel:
         assert found is not None and found[0] <= a + hit
 
     def test_screen_caches_stay_bounded(self):
-        # keyed by (m, c % m) and by c & 63 with c odd, the tables need no
-        # eviction however many moduli a process walks
+        # keyed by (m, c % m) for m = 63, 65 and by c % 704 with c odd, the
+        # tables need no eviction however many moduli a process walks
         rng = random.Random(15)
         moduli = {rng.randrange(1 << 40, 1 << 64) | 1 for _ in range(200)}
         assert len(moduli) == 200
@@ -858,26 +859,41 @@ class TestKernel:
             for walk in (fermat_factor, xscan_factor):
                 out = walk(n, Budget(max_iterations=_T + 200))
                 assert isinstance(out, BudgetExhausted)  # so every walk passed _T
-        assert 100 < _u_screen.cache_info().currsize <= 63 + 65 + 11
-        assert sum(table is not None for table in _steps) <= 32
+        assert 100 < _u_screen.cache_info().currsize <= 63 + 65
+        assert sum(table is not None for table in _steps) <= 352
+
+    def test_every_step_table_matches_its_definition(self):
+        # entry r of the table for c is the distance from r to the next
+        # r' > r, mod 704, at which r'*r' + c is a square mod 64 and mod 11
+        squares64 = {v * v % 64 for v in range(64)}
+        squares11 = {v * v % 11 for v in range(11)}
+        for c in range(1, 704, 2):
+            allowed = [(v * v + c) % 64 in squares64 and (v * v + c) % 11 in squares11
+                       for v in range(704)]
+            expected = []
+            for r in range(704):
+                d = 1
+                while not allowed[(r + d) % 704]:
+                    d += 1
+                expected.append(d)
+            assert _step_table(c) == bytes(expected), c
 
     @pytest.mark.parametrize("d", (1, -1))  # c > 0 as on the x-walk, c < 0 as on the y-walk
-    def test_every_odd_class_of_c_mod_64_gets_its_own_step_table(self, d):
+    def test_every_odd_class_of_c_mod_704_gets_its_own_step_table(self, d):
         # u*u + c == (u + d)**2 at u = a + j alone: c = d * (2*u + d) takes
-        # all 32 odd classes mod 64 over 32 consecutive j, each planted both
-        # below _T and past it, all in one process, so a step table served
-        # for the wrong class would skip or move the hit
-        a = (1 << 70) + 3
+        # all 352 odd classes mod 704 over 352 consecutive u, each planted
+        # both below _T and past it, all in one process, so a step table
+        # served for the wrong class would skip or move the hit
         classes = set()
-        for first in (10, _T + 10):
-            for j in range(first, first + 32):
+        for j in (10, _T + 10):
+            for a in range((1 << 70) + 3, (1 << 70) + 3 + 352):
                 u = a + j
                 c = d * (2 * u + d)
-                classes.add(c & 63)
+                classes.add(c % 704)
                 for i in (0, j - 3):
                     found = _scan(a, c, i, j + 40)
-                    assert found == _reference_scan(a, c, i, j + 40) == (u, u + d), (j, i)
-        assert len(classes) == 32
+                    assert found == _reference_scan(a, c, i, j + 40) == (u, u + d), (a, j, i)
+        assert len(classes) == 352
 
     @pytest.mark.parametrize("walk", "yx")
     def test_every_window_around_the_stage_switch(self, walk):
@@ -932,9 +948,9 @@ class TestDriver:
 
     @pytest.mark.parametrize("method", sorted(_WALKS))
     def test_resume_near_2_40_at_every_residue(self, method):
-        # the step table is keyed by c mod 64 (c = -n on the y-walk, n on
-        # the x-walk) and indexed by u mod 64: open a window at every u
-        # mod 64, on moduli with a hit inside it and on one without
+        # the step table is keyed by c mod 704 (c = -n on the y-walk, n on
+        # the x-walk) and indexed by u mod 704: open a window at every u
+        # mod 704, on moduli with a hit inside it and on one without
         resume = _WALKS[method][1]
         plain = _plain_fermat if method == "fermat" else _plain_xscan
         cases = [(load_rsa100(), 1 << 40)]
@@ -942,9 +958,9 @@ class TestDriver:
             n = y * y - x * x
             cases.append((n, y - ceil_sqrt(n) if method == "fermat" else x))
         for n, hit in cases:
-            for start in range(hit - 100, hit - 36):
+            for start in range(hit - 740, hit - 36):
                 state = plain(n, start, 0).resume
-                assert resume(state, Budget(max_iterations=200)) == plain(n, start, 200)
+                assert resume(state, Budget(max_iterations=800)) == plain(n, start, 800)
 
     @pytest.mark.parametrize("method", sorted(_WALKS))
     def test_deadline_and_progress_are_serviced_between_slices(self, method):

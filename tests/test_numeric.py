@@ -238,6 +238,11 @@ class TestJunkInput:
         with pytest.raises(ValueError, match=f"^{re.escape(wording)}"):
             func(*args)
 
+    def test_junk_whose_repr_fails_is_named_by_its_type(self):
+        # repr of a list holding an int past the int/str digit limit raises
+        with pytest.raises(ValueError, match=r"^modulus must be an int, got a list with no repr$"):
+            fermat_factor([10**5000])
+
     def test_rng_is_not_checked_where_it_is_not_consulted(self):
         assert is_probable_prime(97, rng=object()) is True
         assert is_probable_prime(2**100, rng=object()) is False
