@@ -267,8 +267,12 @@ def _cmd_bench(args) -> int:
     }
     text = f"wrote {len(records)} records to {args.out}\n"
     _emit(doc, text if summary is None else text + summary.as_text(), args.json)
+    left_out = sorted(r.outcome for r in records if r.method == "fermat" and r.outcome != "found")
     if summary is None and not args.json:
         print(f"summary skipped: {note}", file=sys.stderr)
+    elif left_out and not args.json:
+        counts = ", ".join(f"{left_out.count(o)} {o}" for o in dict.fromkeys(left_out))
+        print(f"summary leaves out fermat runs: {counts}", file=sys.stderr)
     return _EXIT_OK
 
 

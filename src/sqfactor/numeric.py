@@ -22,13 +22,14 @@ except that like every public function here they refuse a bool, a
 float, a string or None with ValueError where ``math.isqrt`` would
 take True as 1 or raise TypeError.
 
-``is_probable_prime`` is exact below 3.3e24: a gcd with the product of
-the witness primes 2..41 screens out their multiples, and a survivor
-runs only the witnesses that the known smallest strong pseudoprimes
-prove exact for its size: three (2, 7 and 61) below 4.76e9, the first
-nine primes below 3.8e18.  Above the bound it draws random witnesses
-from the caller's generator, or from ``random``, imported only then,
-when the caller passes none.
+``is_probable_prime`` takes one path for every n of 43 and up.  It picks
+its witnesses from ``_WITNESS_TIERS``, whose rows the known smallest
+strong pseudoprimes prove exact: 2, 7 and 61 below 4.76e9, the first
+nine primes below 3.8e18, all 13 primes 2..41 below 3.3e24.  Past the
+last row it draws 24 random witnesses from the caller's generator, or
+from ``random``, imported only then, when the caller passes none.  Then
+one gcd with the product of 2..41 screens out their multiples, and a
+survivor runs Miller-Rabin.
 
 ``int_to_str`` and ``str_to_int`` are ``str(n)`` and ``int(text, 10)``
 without CPython's 4300-digit int/str limit: they try ``str``/``int``
@@ -209,27 +210,21 @@ def is_perfect_square(n: int) -> SquareTestResult:
     """
     if type(n) is not int:
         require_int("n", n, None)
-    if n < 0:
-        return SquareTestResult(False, None)
-    if not residue_filter(n):
-        return SquareTestResult(False, None)
-    r = math.isqrt(n)
-    if r * r == n:
-        return SquareTestResult(True, r)
+    if n >= 0 and residue_filter(n):
+        r = math.isqrt(n)
+        if r * r == n:
+            return SquareTestResult(True, r)
     return SquareTestResult(False, None)
 
 
-# Below this bound, the fixed witness list is known to be exhaustive:
-# no composite passes all of them (Sorenson & Webster's verified bound
-# for the first 13 primes, 3.317e24).
-_DETERMINISTIC_BOUND = 3317044064679887385961981
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_PRODUCT = math.prod(_DETERMINISTIC_WITNESSES)
 # (bound, witnesses): no composite below bound passes every witness, since
 # each bound is the smallest strong pseudoprime to its witnesses (Jaeschke,
 # Math. Comp. 61 (1993); Sorenson & Webster 2017), so the 13-witness test
-# gives the same answer below it.  {2, 7, 61} reaches past the first four
-# primes' bound, 3215031751, with one witness fewer.
+# gives the same answer below it.  Past the last bound, 3.317e24, the test
+# is no longer exact.  {2, 7, 61} reaches past the first four primes'
+# bound, 3215031751, with one witness fewer.
 _WITNESS_TIERS = (
     (2047, (2,)),
     (1373653, (2, 3)),
@@ -239,9 +234,9 @@ _WITNESS_TIERS = (
     (341550071728321, _DETERMINISTIC_WITNESSES[:7]),
     (3825123056546413051, _DETERMINISTIC_WITNESSES[:9]),
     (318665857834031151167461, _DETERMINISTIC_WITNESSES[:12]),
-    (_DETERMINISTIC_BOUND, _DETERMINISTIC_WITNESSES),
+    (3317044064679887385961981, _DETERMINISTIC_WITNESSES),
 )
-# random witnesses per test above the bound: error at most 4**-24 per composite
+# random witnesses per test past the last tier: error at most 4**-24 per composite
 _RANDOM_ROUNDS = 24
 
 
@@ -258,40 +253,41 @@ def _mr_witness_passes(n: int, d: int, r: int, a: int) -> bool:
 
 
 def is_probable_prime(n: int, rng=None) -> bool:
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test, exact for n below about 3.3e24.
 
-    Exact for n below about 3.3e24.  There one gcd with the product of
-    the 13 witness primes 2..41 rejects any n they divide (n < 43 is
-    prime iff it is one of them), and a survivor runs only the
-    witnesses of the first ``_WITNESS_TIERS`` row whose bound exceeds
-    n: 2 alone below 2047, three (2, 7 and 61) below 4.76e9, the first
-    nine primes below 3.8e18.  Beyond the bound, a fixed 24 random
-    witnesses give an error probability of at most 4**-24 for composite
-    n.  ``rng`` needs a ``randrange`` method and is consulted only for
-    odd n above the deterministic bound, so results below it never
-    depend on it; None there means the ``random`` module, imported only
-    then.  An n that ``require_int`` refuses, such as 7.0, "7" or True,
-    raises ValueError, and so does an rng without ``randrange`` where
-    it would be consulted.
+    n < 43 is prime iff it is one of the 13 witness primes 2..41.  A
+    larger n takes the witnesses of the first ``_WITNESS_TIERS`` row
+    whose bound exceeds it: 2 alone below 2047, three (2, 7 and 61)
+    below 4.76e9, the first nine primes below 3.8e18, all 13 below the
+    last row's bound.  Past the table an even n is composite, and an odd
+    n draws 24 random witnesses, which give an error probability of at
+    most 4**-24 for composite n.  Then one gcd with the product of
+    2..41 rejects any n they divide, and what passes runs Miller-Rabin.
+    ``rng`` needs a ``randrange`` method and is consulted only for odd n
+    past the table, so results below it never depend on it; None there
+    means the ``random`` module, imported only then.  The draws come
+    before the gcd, so how many a call makes depends only on n.  An n
+    that ``require_int`` refuses, such as 7.0, "7" or True, raises
+    ValueError, and so does an rng without ``randrange`` where it would
+    be consulted.
     """
     if type(n) is not int:
         require_int("n", n, None)
-    if n < _DETERMINISTIC_BOUND:
-        if n < 43:
-            return n in _DETERMINISTIC_WITNESSES
-        if math.gcd(n, _WITNESS_PRODUCT) != 1:
+    if n < 43:
+        return n in _DETERMINISTIC_WITNESSES
+    for bound, witnesses in _WITNESS_TIERS:
+        if n < bound:
+            break
+    else:  # past the table: drawn before the screen, so the draws depend only on n
+        if n % 2 == 0:
             return False
-        for bound, witnesses in _WITNESS_TIERS:
-            if n < bound:
-                break
-    elif n % 2 == 0:
-        return False
-    else:
         if rng is None:
             import random as rng
         elif not hasattr(rng, "randrange"):
             raise ValueError(f"rng must have a randrange method, got {shown(rng)}")
         witnesses = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
+    if math.gcd(n, _WITNESS_PRODUCT) != 1:
+        return False
     m = n - 1
     r = (m & -m).bit_length() - 1  # n - 1 = d * 2**r with d odd
     d = m >> r

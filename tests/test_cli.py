@@ -537,6 +537,19 @@ class TestBenchCommand:
         assert "wrote 1 records" in out
         assert "summary skipped: need found records from at least 2 distinct gaps" in err
 
+    def test_text_summary_counts_the_fermat_runs_it_leaves_out(self, capsys, tmp_path):
+        args = ("bench", "--bits", "64", "--gaps", "8388608,16777216,1073741824,2147483648",
+                "--seed", "1", "--methods", "fermat", "--max-iterations", "100000",
+                "--out", str(tmp_path / "r.jsonl"))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert out.splitlines()[0] == f"wrote 4 records to {tmp_path / 'r.jsonl'}"
+        assert len(out.splitlines()) == 5  # the count line, the header and 3 rows
+        assert err == "summary leaves out fermat runs: 1 budget_exhausted\n"
+        code, out, err = run_cli(capsys, *args, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary_note"] is None
+
     def test_json_document(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
         code, out, _ = run_cli(

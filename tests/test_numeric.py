@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sqfactor import semiprimes
+from sqfactor import numeric, semiprimes
 from sqfactor.bench import run_study
 from sqfactor.engine import fermat_factor, normalize_input
 from sqfactor.numeric import (
@@ -192,6 +192,25 @@ class TestIsProbablePrime:
 
         for n in (97, 561, 2**61 - 1, 10**24 + 7):
             is_probable_prime(n, rng=Boom())
+
+    def test_witness_multiple_past_the_table_draws_then_skips_miller_rabin(self, monkeypatch):
+        # the gcd screen runs past the deterministic bound too, after the
+        # 24 draws, so the rng stream is the same as without it
+        class Counting(random.Random):
+            draws = 0
+
+            def randrange(self, *args):
+                self.draws += 1
+                return super().randrange(*args)
+
+        def no_round(*args):
+            raise AssertionError("a multiple of a witness prime reached Miller-Rabin")
+
+        monkeypatch.setattr(numeric, "_mr_witness_passes", no_round)
+        for n in (3 * (2**81 + 1), 37 * 3317044064679887385961981, 41 * (2**4000 + 1)):
+            rng = Counting(5)
+            assert is_probable_prime(n, rng) is False
+            assert rng.draws == 24, n
 
     def test_probabilistic_region_uses_rng_reproducibly(self):
         n = (2**300 + 157) * (2**300 + 235)  # known composite, above the bound
@@ -393,6 +412,12 @@ class TestWitnessTiers:
             (512, 2**20 + 1, 2**24, 11,
              58430312932361274672857927105476687268343933150895435941350456854433446768817,
              58430312932361274672857927105476687268343933150895435941350456854433447817503),
+            # RSA size, where the witness draws run ahead of the gcd screen
+            (1024, 2**262 + 1, 2**263, 3,
+             int("11915766068366929723989687024256728733759889966382056419289008457597511737627"
+                 "344261959432847052047399592175908514463643620833329808767568402390499031355377"),
+             int("11915766068366929723989687024256728733759889966382056419289008457597511737634"
+                 "754955670621083559155942632731934617072922639434325907292853778896939328311543")),
         ],
     )
     def test_generated_semiprimes_above_the_bound_are_pinned(
