@@ -239,6 +239,13 @@ def _cells(row: SummaryRow, ratio_spec: str, no_ratio: str) -> list[str]:
     return cells
 
 
+def _gap_text(gap: int) -> str:
+    """The text table's gap: decimal up to 2**64, else 2^e with e to two
+    decimals, so a 1024-bit ladder's column stays readable.  The CSV and
+    the JSON records keep every gap exact."""
+    return f"2^{math.log2(gap):.2f}" if gap > 1 << 64 else str(gap)
+
+
 @dataclass(frozen=True)
 class SummaryTable:
     rows: list[SummaryRow]
@@ -249,7 +256,7 @@ class SummaryTable:
 
     def as_text(self) -> str:
         header = ("gap", "n_bits", "runs", "median_iter", "analytic", "ratio", "median_ns")
-        table = [header] + [_cells(r, ".3g", "-") for r in self.rows]
+        table = [header] + [[_gap_text(r.gap)] + _cells(r, ".3g", "-")[1:] for r in self.rows]
         widths = [max(map(len, column)) for column in zip(*table)]
         return "".join("  ".join(map(str.rjust, row, widths)) + "\n" for row in table)
 

@@ -44,22 +44,27 @@ square s*s, which yields y = s directly.  Both scans return identical
 Both walks seek the first j for which (a + j)**2 + c is a perfect
 square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
 One kernel, _scan, runs that search over j in i, ..., end - 1.  It
-steps u = a + j from one value to the next that one step table allows:
-keyed by c mod 704 = 64*11, it skips every u for which u*u + c cannot
-be a square modulo 64 or modulo 11, so those two screens cost nothing
-per candidate.  The kernel takes an exact root only of the candidates
-that can also be squares modulo 63 and 65.  c is odd, so there are 352
-step tables, each built on first use into the list _steps, their one
-cache.  Below index _T the kernel carries t = u*u + c and screens t;
-from _T on it screens u by its residues modulo 63 and 65, small ints,
-and builds t only for a u that passes.  That saves the big-int work
-per candidate on a long walk, and a tiny split, over before _T, skips
-the set-up of the u-screens.  The driver, _walk, calls the kernel once per slice of
-_SLICE candidates and owns everything else: the stop index a budget
-sets, the deadline and the progress callback (both serviced after each
-finished slice, in one block that reads the clock once, so the kernel
-reads no clock), the bound at the trivial representation, and turning
-a hit or a spent budget into an outcome.
+takes an exact root only of the u = a + j for which u*u + c can be a
+square modulo 64, 11, 63 and 65, and it finds them in two stages.
+Below index _T it steps u from one value to the next that a step table
+allows (keyed by c mod 704 = 64*11, it skips every u failing the
+screens mod 64 and mod 11), carries t = u*u + c and screens t mod 63
+and 65.  From _T on it sieves: three cached mask ints, one per (m, c
+mod m) for m = 704, 63 and 65, have bit v set iff every u = v (mod m)
+passes the screen mod m.  Shifted to a piece's first u and ANDed, they
+leave set exactly the bits of the u that pass all four screens; one
+pass over the result's binary string reads them in ascending order,
+and t is built only for those u.  Both stages admit the same u, so
+neither changes which u reaches the square root.  A tiny split, over
+before _T, builds no mask.  c is odd, so there are at most 352 step
+tables, in the list _steps, and 352 + 63 + 65 masks, in _mask's cache.
+
+The driver, _walk, calls the kernel once per slice of _SLICE candidates
+and owns everything else: the stop index a budget sets, the deadline
+and the progress callback (both serviced after each finished slice, in
+one block that reads the clock once, so the kernel reads no clock), the
+bound at the trivial representation, and turning a hit or a spent
+budget into an outcome.
 """
 
 from __future__ import annotations
@@ -98,10 +103,10 @@ __all__ = [
 # progress callback are serviced.
 _SLICE = 1 << 14
 _PROGRESS_INTERVAL = 1.0
-_SCREENS = (SQUARE_RESIDUES[63], SQUARE_RESIDUES[65])  # the kernel's screens past the step table
-# Walk index from which _scan screens u by its residues instead of building
-# u*u + c for each candidate: past the window length at which the
-# u-screens' set-up pays for itself (10-32 candidates by timeit).
+_SCREENS = (SQUARE_RESIDUES[63], SQUARE_RESIDUES[65])  # stage 1's screens past the step table
+# Walk index from which _scan sieves instead of stepping: one mod-64 period,
+# past the end of every tiny split (a y-split at k = 0, an x-split at x <=
+# 48), so those never build a mask.
 _T = 64
 
 
@@ -348,20 +353,28 @@ def _walk(
 _DOWN = bytes(range(255, 0, -1))  # _DOWN[255 - g:] counts down g, g - 1, ..., 1
 
 
-def _step_table(c_mod_704: int) -> bytes:
-    """Distance from each u mod 704 to the next u' > u for which u'*u' + c
-    can be a square both mod 64 and mod 11.
+def _allowed_704(c_mod_704: int) -> list:
+    """The u mod 704, ascending, for which u*u + c can be a square both
+    mod 64 and mod 11.
 
-    The allowed u mod 704 come by CRT from those mod 64 and mod 11
-    (u = 385*v + 320*w mod 704 has u = v mod 64 and u = w mod 11), and
-    a run of g entries before each allowed u counts down g, ..., 1.
+    They come by CRT from those mod 64 and mod 11: u = 385*v + 320*w mod
+    704 has u = v mod 64 and u = w mod 11.  Both walks end at the trivial
+    representation, a square, so the list is never empty.
     """
     sq64, sq11 = SQUARE_RESIDUES[64], SQUARE_RESIDUES[11]
     u64 = [385 * v for v in range(64) if sq64[(v * v + c_mod_704) % 64]]
     u11 = [320 * w for w in range(11) if sq11[(w * w + c_mod_704) % 11]]
-    # both walks end at the trivial representation, a square, so neither
-    # list is empty; the largest distance is 82, so each fits in a byte
-    allowed = sorted([(x + y) % 704 for x in u64 for y in u11])
+    return sorted([(x + y) % 704 for x in u64 for y in u11])
+
+
+def _step_table(c_mod_704: int) -> bytes:
+    """Distance from each u mod 704 to the next u' > u for which u'*u' + c
+    can be a square both mod 64 and mod 11.
+
+    A run of g entries before each allowed u counts down g, ..., 1; the
+    largest distance is 82, so each fits in a byte.
+    """
+    allowed = _allowed_704(c_mod_704)
     allowed.append(allowed[0] + 704)  # the first allowed u of the next period
     runs = [_DOWN[255 - allowed[0]:]]
     runs += [_DOWN[255 - (y - x):] for x, y in zip(allowed, allowed[1:])]
@@ -374,28 +387,44 @@ def _step_table(c_mod_704: int) -> bytes:
 _steps = [None] * 704
 
 
-@lru_cache(maxsize=None)  # keys (m, c % m): at most 63 + 65 of them
-def _u_screen(m: int, c_mod_m: int) -> bytes:
-    """Entry r is 1 iff r*r + c can be a square mod m."""
-    squares = SQUARE_RESIDUES[m]
-    return bytes(squares[(r * r + c_mod_m) % m] for r in range(m))
+@lru_cache(maxsize=None)  # keys (m, c % m): at most 352 + 63 + 65 of them
+def _mask(m: int, c_mod_m: int) -> int:
+    """Int of _SLICE + m bits whose bit v is set iff every u = v (mod m)
+    passes the screen mod m: mod 64 and mod 11 (the step table's screens)
+    for m = 704, else u*u + c can be a square mod m.
+
+    One period of m bits is doubled by shifts until it covers the mask.
+    """
+    if m == 704:
+        allowed = _allowed_704(c_mod_m)
+    else:
+        squares = SQUARE_RESIDUES[m]
+        allowed = [r for r in range(m) if squares[(r * r + c_mod_m) % m]]
+    mask = sum([1 << v for v in allowed])
+    width = m
+    while width < _SLICE + m:
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << (_SLICE + m)) - 1)
 
 
 def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
     r*r, or None.
 
-    Both stages step u from one value the mod-704 step table allows to
-    the next, so they examine the same u and differ only in what they
-    screen.  Below walk index _T the loop carries t = u*u + c and
-    screens t mod 63 and 65; from _T on it screens u mod 63 and 65,
-    small ints, and builds t only for a u that passes both.
+    Both stages examine the u that pass the screens mod 64, 11, 63 and
+    65, in ascending order.  Below walk index _T the loop steps u by the
+    mod-704 step table, carries t = u*u + c and screens t mod 63 and 65.
+    From _T on it sieves: for each piece of at most _SLICE indices it
+    ANDs the 704, 63 and 65 masks, shifted to the piece's first u, reads
+    the set bits of the result in one pass over its binary string, and
+    builds t only for those u.
     """
-    key = c % 704  # nonnegative also for negative c
-    steps = _steps[key]
-    if steps is None:
-        steps = _steps[key] = _step_table(key)
     if i < _T:
+        key = c % 704  # nonnegative also for negative c
+        steps = _steps[key]
+        if steps is None:
+            steps = _steps[key] = _step_table(key)
         sq63, sq65 = _SCREENS
         u = a + i - 1
         u += steps[u % 704]  # the first allowed u >= a + i
@@ -412,23 +441,22 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
         if end <= _T:
             return None
         i = _T
-    s63, s65 = _u_screen(63, c % 63), _u_screen(65, c % 65)
-    # u = base + v with base a multiple of 704, so v % 704 == u % 704 and
-    # u % m == (v + base % m) % m, and v stays a small int
-    u0 = a + i
-    base = u0 - u0 % 704
-    o63, o65 = base % 63, base % 65
-    v = u0 - base - 1
-    v += steps[v % 704]  # the first allowed u >= u0
-    end = a + end - base
-    while v < end:
-        if s63[(v + o63) % 63] and s65[(v + o65) % 65]:
-            u = base + v
-            t = u * u + c
-            r = math.isqrt(t)
+    isqrt = math.isqrt
+    m704, m63, m65 = _mask(704, c % 704), _mask(63, c % 63), _mask(65, c % 65)
+    u, u_end = a + i, a + end
+    while u < u_end:
+        width = min(u_end - u, _SLICE)
+        bits = bin((m704 >> u % 704) & (m63 >> u % 63) & (m65 >> u % 65) & ((1 << width) - 1))
+        top = u + len(bits) - 1  # the character at index p stands for top - p
+        p = bits.rfind("1")  # the "0b" prefix holds no "1"
+        while p >= 0:
+            v = top - p
+            t = v * v + c
+            r = isqrt(t)
             if r * r == t:
-                return u, r
-        v += steps[v % 704]
+                return v, r
+            p = bits.rfind("1", 0, p)
+        u += width
     return None
 
 

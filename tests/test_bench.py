@@ -484,6 +484,18 @@ class TestSummaryFormats:
         )
 
 
+    def test_text_writes_a_gap_past_2_64_as_a_power_of_two(self):
+        # a 1024-bit ladder's gaps read as 2^e in the text table, while the
+        # CSV keeps every gap exact
+        gaps = (2**64, 2**64 + 1, 2**256, 3 * 2**270)
+        rows = [SummaryRow(g, 1024, 1, 1.0, 1.0, 1.0, 1.0) for g in gaps]
+        table = SummaryTable(rows=rows)
+        text_gaps = [line.split()[0] for line in table.as_text().splitlines()[1:]]
+        assert text_gaps == ["18446744073709551616", "2^64.00", "2^256.00", "2^271.58"]
+        csv_gaps = [line.split(",")[0] for line in table.as_csv().splitlines()[1:]]
+        assert csv_gaps == [str(g) for g in gaps]
+
+
 class TestAnalyticCurve:
     def test_reference_point(self):
         assert analytic_iterations(1 << 20, 64) == pytest.approx(2**5.25)

@@ -3,11 +3,13 @@ import math
 import pickle
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sqfactor import engine
 from sqfactor.bench import load_rsa100
 from sqfactor.engine import (
     _SLICE,
@@ -28,14 +30,14 @@ from sqfactor.engine import (
     resume_fermat,
     resume_xscan,
     step,
+    _mask,
     _scan,
     _step_table,
     _steps,
-    _u_screen,
     _y_state,
     xscan_factor,
 )
-from sqfactor.numeric import ceil_sqrt, is_perfect_square
+from sqfactor.numeric import SQUARE_RESIDUES, ceil_sqrt, is_perfect_square
 from sqfactor.semiprimes import SemiprimeSpec, generate
 
 odd_moduli = st.integers(min_value=1, max_value=1 << 128).map(lambda v: 2 * v + 1)
@@ -807,21 +809,44 @@ _window_starts = st.one_of(
     ),
     st.integers(min_value=0, max_value=1 << 41),
 )
-_window_lengths = st.integers(min_value=0, max_value=3 * _T + 130)
+# short windows, and windows up to a whole slice, the longest piece one
+# sieve pass covers
+_window_lengths = st.one_of(
+    st.integers(min_value=0, max_value=3 * _T + 130),
+    st.integers(min_value=0, max_value=_SLICE),
+)
+# (m, r): move a window's start so that its first u is r mod m, at a period
+# edge of a sieve mask, or leave it where it is
+_mask_edges = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from((704, 63, 65)), st.sampled_from((0, 1, -2, -1))),
+)
+
+
+def _passes_the_screens(u, c, moduli=(64, 11, 63, 65)):
+    # u*u + c can be a square mod each of the moduli; by default those of
+    # the mod-704 mask (64 and 11) and of the 63 and 65 masks
+    t = u * u + c
+    return all(SQUARE_RESIDUES[m][t % m] for m in moduli)
 
 
 class TestKernel:
     @given(
         walk=st.sampled_from("yx"),
         odd=st.integers(min_value=1, max_value=1 << 200).map(lambda v: 2 * v + 1),
-        # c divisible by 3, 5, 7, 11 or 13 makes the u-screens admit more
-        factor=st.sampled_from((1, 3, 5, 7, 11, 13, 3 * 5 * 7 * 11 * 13)),
+        # c divisible by 3, 5, 7, 11 or 13 makes the screens admit more, and
+        # by 63 * 65 makes the 63 and 65 masks admit every u
+        factor=st.sampled_from((1, 3, 5, 7, 11, 13, 3 * 5 * 7 * 11 * 13, 63 * 65)),
         i=_window_starts,
+        edge=_mask_edges,
         length=_window_lengths,
     )
     @settings(max_examples=400, deadline=None)
-    def test_scan_matches_the_reference(self, walk, odd, factor, i, length):
+    def test_scan_matches_the_reference(self, walk, odd, factor, i, edge, length):
         a, c = _walk_shape(walk, factor * odd)
+        if edge is not None:
+            m, r = edge
+            i += (r - a - i) % m
         assert _scan(a, c, i, i + length) == _reference_scan(a, c, i, i + length)
 
     @given(
@@ -849,9 +874,79 @@ class TestKernel:
         assert found == _reference_scan(a, c, i, end)
         assert found is not None and found[0] <= a + hit
 
+    @given(
+        walk=st.sampled_from("yx"),
+        odd=st.integers(min_value=1, max_value=1 << 200).map(lambda v: 2 * v + 1),
+        factor=st.sampled_from((1, 3, 5, 7, 11, 63 * 65)),
+        i=st.one_of(
+            st.integers(min_value=_T, max_value=3 * _SLICE),
+            st.integers(min_value=0, max_value=1 << 41),
+        ),
+        length=st.integers(min_value=0, max_value=2 * _SLICE + 100),
+        hit=st.none() | st.integers(min_value=0, max_value=2 * _SLICE + 99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_isqrt_sees_exactly_the_u_the_screens_admit(self, walk, odd, factor, i, length, hit):
+        # past _T the kernel takes a root of exactly the u that pass the
+        # mod-704, 63 and 65 screens, in ascending order, up to the hit
+        if walk == "x":
+            n = factor * odd
+            if hit is not None:  # plant n + (i + hit)**2 == (i + hit + gap)**2
+                gap = 2 * (odd % 1000) + 1
+                n = gap * (2 * (i + hit) + gap)
+        else:
+            y = (1 << 160) + odd
+            if hit is not None:  # plant the y-walk's first hit at index i + hit
+                j = i + max(_T, hit)
+                x = ceil_sqrt(2 * y * j - j * j)
+                x += (y - x + 1) % 2
+                n = y * y - x * x
+                assume(ceil_sqrt(n) == y - j)
+            else:
+                n = factor * odd
+        i = max(i, _T)
+        a, c = _walk_shape(walk, n)
+        roots = []
+
+        def counting_isqrt(t):
+            roots.append(math.isqrt(t - c))  # the u with u*u + c == t
+            return math.isqrt(t)
+
+        expected = []
+        for u in range(a + i, a + i + length):
+            if _passes_the_screens(u, c):
+                expected.append(u)
+                if math.isqrt(u * u + c) ** 2 == u * u + c:
+                    break
+        original = engine.math
+        engine.math = SimpleNamespace(isqrt=counting_isqrt)
+        try:
+            found = _scan(a, c, i, i + length)
+        finally:
+            engine.math = original
+        assert found == _reference_scan(a, c, i, i + length)
+        assert roots == expected
+
+    def test_tiny_splits_build_no_mask(self):
+        # y-splits that hit at k = 0 and x-splits that hit by x = 48 end in
+        # the kernel's first stage, before any mask is needed
+        _mask.cache_clear()
+        rng = random.Random(27)
+        for _ in range(3000):
+            y = rng.randrange(1 << 31, 1 << 32)
+            x = rng.randrange(0, math.isqrt(y) // 2) * 2 + 1 - y % 2  # opposite parity
+            n = y * y - x * x
+            assert fermat_factor(n).k == 0
+        for _ in range(3000):
+            y = rng.randrange(1 << 31, 1 << 32)
+            x = rng.randrange(0, 24) * 2 + 1 - y % 2
+            assert xscan_factor(y * y - x * x).iterations <= 48
+        assert _mask.cache_info().currsize == 0
+
     def test_screen_caches_stay_bounded(self):
-        # keyed by (m, c % m) for m = 63, 65 and by c % 704 with c odd, the
-        # tables need no eviction however many moduli a process walks
+        # keyed by (m, c % m) for m = 704, 63 and 65 with c odd, and by c %
+        # 704, the masks and the step tables need no eviction however many
+        # moduli a process walks
         rng = random.Random(15)
         moduli = {rng.randrange(1 << 40, 1 << 64) | 1 for _ in range(200)}
         assert len(moduli) == 200
@@ -859,7 +954,7 @@ class TestKernel:
             for walk in (fermat_factor, xscan_factor):
                 out = walk(n, Budget(max_iterations=_T + 200))
                 assert isinstance(out, BudgetExhausted)  # so every walk passed _T
-        assert 100 < _u_screen.cache_info().currsize <= 63 + 65
+        assert 100 < _mask.cache_info().currsize <= 352 + 63 + 65
         assert sum(table is not None for table in _steps) <= 352
 
     def test_every_step_table_matches_its_definition(self):
@@ -877,6 +972,19 @@ class TestKernel:
                     d += 1
                 expected.append(d)
             assert _step_table(c) == bytes(expected), c
+
+    def test_every_mask_matches_its_definition(self):
+        # bit v of the mask for (m, c) is set iff u = v (mod m) passes the
+        # screen mod m, for every v below _SLICE + m and no bit beyond
+        for m, moduli in ((704, (64, 11)), (63, (63,)), (65, (65,))):
+            for c in range(1, m, 2) if m == 704 else range(m):
+                period = "".join(
+                    "1" if _passes_the_screens(v, c, moduli) else "0" for v in range(m)
+                )
+                mask = _mask(m, c)
+                assert mask.bit_length() <= _SLICE + m
+                bits = format(mask, "b")[::-1].ljust(_SLICE + m, "0")
+                assert bits == (period * (_SLICE // m + 2))[:_SLICE + m], (m, c)
 
     @pytest.mark.parametrize("d", (1, -1))  # c > 0 as on the x-walk, c < 0 as on the y-walk
     def test_every_odd_class_of_c_mod_704_gets_its_own_step_table(self, d):
@@ -909,8 +1017,50 @@ class TestKernel:
                 for i in range(end + 1):
                     assert _scan(a, c, i, end) == _reference_scan(a, c, i, end), (i, end)
 
+    @pytest.mark.parametrize("walk", "yx")
+    def test_a_window_longer_than_a_mask_misses_no_piece_edge(self, walk):
+        # a window past _T is sieved in pieces of _SLICE indices: a hit just
+        # before, at and just after a piece edge is found, and one two
+        # pieces in
+        for start in (_T, _T + 1, 5000):
+            for hit in (_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE):
+                a, c = _planted(walk, start + hit)
+                found = _scan(a, c, start, start + 3 * _SLICE)
+                assert found == _reference_scan(a, c, 0, start + hit + 1), (start, hit)
+                assert found[0] == a + start + hit
+
+
+# ~66-bit moduli whose first hit lies 3.5 slices into the walk: p * q with
+# k = 57344 on the y-walk and x = 58129 on the x-walk
+_DEEP = {
+    "fermat": (8558559617, 8621334263, 57344),
+    "xscan": (8589716579, 8589832837, 58129),
+}
+
 
 class TestDriver:
+    @pytest.mark.parametrize("method", sorted(_WALKS))
+    def test_deep_chained_resumes_match_one_run(self, method):
+        # budgets that end around _T, at and next to each slice edge before
+        # the hit, and inside a slice; each chain, and one through every
+        # edge at once, ends where one unbudgeted run does
+        first, resume = _WALKS[method]
+        p, q, hit = _DEEP[method]
+        n = p * q
+        one_run = first(n)
+        assert one_run.p == p and one_run.q == q and one_run.iterations == hit
+        assert 3 * _SLICE < hit < 4 * _SLICE
+        edges = [_T - 1, _T, _T + 1, 3 * _SLICE + 4099]
+        edges += [s * _SLICE + d for s in (1, 2, 3) for d in (-1, 0, 1)]
+        for chain in [[edge] for edge in edges] + [sorted(edges)]:
+            out, done = first(n, Budget(max_iterations=chain[0])), chain[0]
+            for edge in chain[1:]:
+                assert out.iterations == done
+                out = resume(out.resume, Budget(max_iterations=edge - done))
+                done = edge
+            assert isinstance(out, BudgetExhausted) and out.iterations == done
+            assert resume(parse_checkpoint(checkpoint_line(out.resume))) == one_run, chain
+
     @pytest.mark.parametrize("method", sorted(_WALKS))
     @given(
         n=st.integers(min_value=1, max_value=(1 << 17) - 1).map(lambda v: 2 * v + 1),
