@@ -43,7 +43,7 @@ square s*s, which yields y = s directly.  Both scans return identical
 
 Both walks seek the first j for which (a + j)**2 + c is a perfect
 square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
-One kernel, _scan, runs that search over j in i, ..., end - 1.  It
+One kernel, _scan, runs that search over one slice, i <= j < end.  It
 takes an exact root only of the u = a + j for which u*u + c can be a
 square modulo 64, 11, 63 and 65, and it finds them in two stages.
 Below index _T it steps u from one value to the next that a step table
@@ -51,13 +51,14 @@ allows (keyed by c mod 704 = 64*11, it skips every u failing the
 screens mod 64 and mod 11), carries t = u*u + c and screens t mod 63
 and 65.  From _T on it sieves: three cached mask ints, one per (m, c
 mod m) for m = 704, 63 and 65, have bit v set iff every u = v (mod m)
-passes the screen mod m.  Shifted to a piece's first u and ANDed, they
-leave set exactly the bits of the u that pass all four screens; one
-pass over the result's binary string reads them in ascending order,
-and t is built only for those u.  Both stages admit the same u, so
-neither changes which u reaches the square root.  A tiny split, over
-before _T, builds no mask.  c is odd, so there are at most 352 step
-tables, in the list _steps, and 352 + 63 + 65 masks, in _mask's cache.
+passes the screen mod m.  Shifted to the slice's first sieved u and
+ANDed, they leave set exactly the bits of the u that pass all four
+screens; one pass over the result's binary string reads them in
+ascending order, and t is built only for those u.  Both stages admit
+the same u, so neither changes which u reaches the square root.  A
+tiny split, over before _T, builds no mask.  c is odd, so there are at
+most 352 step tables, in the list _steps, and 352 + 63 + 65 masks, in
+_mask's cache.
 
 The driver, _walk, calls the kernel once per slice of _SLICE candidates
 and owns everything else: the stop index a budget sets, the deadline
@@ -412,13 +413,10 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
     r*r, or None.
 
-    Both stages examine the u that pass the screens mod 64, 11, 63 and
-    65, in ascending order.  Below walk index _T the loop steps u by the
-    mod-704 step table, carries t = u*u + c and screens t mod 63 and 65.
-    From _T on it sieves: for each piece of at most _SLICE indices it
-    ANDs the 704, 63 and 65 masks, shifted to the piece's first u, reads
-    the set bits of the result in one pass over its binary string, and
-    builds t only for those u.
+    The window is one slice: its sieved part [max(i, _T), end) is at
+    most _SLICE long.  Both stages, described in the module docstring,
+    examine the u that pass the screens mod 64, 11, 63 and 65, in
+    ascending order: stepping below walk index _T, sieving from it.
     """
     if i < _T:
         key = c % 704  # nonnegative also for negative c
@@ -443,20 +441,17 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
         i = _T
     isqrt = math.isqrt
     m704, m63, m65 = _mask(704, c % 704), _mask(63, c % 63), _mask(65, c % 65)
-    u, u_end = a + i, a + end
-    while u < u_end:
-        width = min(u_end - u, _SLICE)
-        bits = bin((m704 >> u % 704) & (m63 >> u % 63) & (m65 >> u % 65) & ((1 << width) - 1))
-        top = u + len(bits) - 1  # the character at index p stands for top - p
-        p = bits.rfind("1")  # the "0b" prefix holds no "1"
-        while p >= 0:
-            v = top - p
-            t = v * v + c
-            r = isqrt(t)
-            if r * r == t:
-                return v, r
-            p = bits.rfind("1", 0, p)
-        u += width
+    u = a + i
+    bits = bin((m704 >> u % 704) & (m63 >> u % 63) & (m65 >> u % 65) & ((1 << (end - i)) - 1))
+    top = u + len(bits) - 1  # the character at index p stands for top - p
+    p = bits.rfind("1")  # the "0b" prefix holds no "1"
+    while p >= 0:
+        v = top - p
+        t = v * v + c
+        r = isqrt(t)
+        if r * r == t:
+            return v, r
+        p = bits.rfind("1", 0, p)
     return None
 
 

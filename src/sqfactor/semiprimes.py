@@ -15,12 +15,12 @@ scrambled by two xor-shift-multiply rounds with multipliers
 
 Generation strategy: draw a random odd starting point with bits/2
 (rounded up) bits, walk upward to the next probable prime p, then scan
-for a prime q with q - p inside the requested gap window.  Parity is
-decided up front: p and q are odd, so q - p is even, and a window with
-no even gap (such as [1, 1] or [3, 3]) raises FeasibilityError before
-any draw.  A failed window scan restarts with fresh randomness, and
-MAX_ATTEMPTS restarts bound the rest, such as a window whose smallest
-gap makes n too wide, so no request hangs.
+for a prime q with q - p inside the requested gap window.  A window
+that no pair can fill raises FeasibilityError before any draw: one
+with no even gap (p and q are odd), and one whose smallest even gap
+makes n wider than bits + 1 bits (every p is above 2^(half - 1)).  A
+failed window scan restarts with fresh randomness, and MAX_ATTEMPTS
+restarts bound the rest.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class SplitMix64:
 
 
 class FeasibilityError(ValueError):
-    """The gap window holds no even gap, or no qualifying prime pair was
-    found within MAX_ATTEMPTS restarts."""
+    """The gap window holds no even gap that fits the size, or no
+    qualifying prime pair was found within MAX_ATTEMPTS restarts."""
 
 
 @dataclass(frozen=True)
@@ -129,35 +129,39 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
 
     gap_lo = gap_hi = 0 requests p = q (a squared prime).  Deterministic
     per seed.  Raises FeasibilityError at once when the window holds no
-    even gap above 0 (p and q are odd), and when MAX_ATTEMPTS restart
+    even gap above 0 that fits the size, and when MAX_ATTEMPTS restart
     rounds cannot satisfy the request.
     """
     require_int("bits", bits, 4)
     require_int("gap_hi", gap_hi, require_int("gap_lo", gap_lo))
     rng = SplitMix64(seed)
     lowest = max(gap_lo, 1)
-    if gap_hi > 0 and lowest + lowest % 2 > gap_hi:
-        raise FeasibilityError(
-            f"no {bits}-bit semiprime with gap in [{shown(gap_lo)}, {shown(gap_hi)}]: p and q "
-            "are odd primes, so a gap q - p > 0 is even, and the window holds no "
+    gap = 0 if gap_hi == 0 else lowest + lowest % 2  # the smallest even gap in the window
+    half = (bits + 1) // 2
+    least = 1 << (half - 1)  # every p is above it
+    if gap > gap_hi:
+        reason = (
+            "p and q are odd primes, so a gap q - p > 0 is even, and the window holds no "
             "even gap above 0"
         )
-    half = (bits + 1) // 2
-    for _ in range(MAX_ATTEMPTS):
-        start = (1 << (half - 1)) | rng.bits(half - 1) | 1
-        p = _first_prime(start, start + 2 * _WALK_LIMIT - 1, rng)
-        if p is None:
-            continue
-        q = p if gap_hi == 0 else _first_prime(p + lowest, p + gap_hi, rng)
-        if q is None:
-            continue
-        n = p * q
-        if abs(n.bit_length() - bits) > 1:
-            continue
-        return GeneratedSemiprime(p=p, q=q, n=n, gap=q - p, bits=bits, seed=seed)
+    elif (least * (least + gap)).bit_length() > bits + 1:
+        reason = f"with p > 2^{half - 1}, n = p*q is over {bits + 1} bits"
+    else:
+        for _ in range(MAX_ATTEMPTS):
+            start = least | rng.bits(half - 1) | 1
+            p = _first_prime(start, start + 2 * _WALK_LIMIT - 1, rng)
+            if p is None:
+                continue
+            q = p if gap_hi == 0 else _first_prime(p + lowest, p + gap_hi, rng)
+            if q is None:
+                continue
+            n = p * q
+            if abs(n.bit_length() - bits) > 1:
+                continue
+            return GeneratedSemiprime(p=p, q=q, n=n, gap=q - p, bits=bits, seed=seed)
+        reason = f"none found in {MAX_ATTEMPTS} attempts"
     raise FeasibilityError(
-        f"no {bits}-bit semiprime with gap in [{shown(gap_lo)}, {shown(gap_hi)}] "
-        f"after {MAX_ATTEMPTS} attempts"
+        f"no {bits}-bit semiprime with gap in [{shown(gap_lo)}, {shown(gap_hi)}]: {reason}"
     )
 
 

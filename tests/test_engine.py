@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import pickle
@@ -830,6 +831,24 @@ def _passes_the_screens(u, c, moduli=(64, 11, 63, 65)):
     return all(SQUARE_RESIDUES[m][t % m] for m in moduli)
 
 
+@contextlib.contextmanager
+def _roots_taken(c):
+    # a list that gains, for each square root the engine takes, the u
+    # with u*u + c == t
+    roots = []
+
+    def counting_isqrt(t):
+        roots.append(math.isqrt(t - c))
+        return math.isqrt(t)
+
+    original = engine.math
+    engine.math = SimpleNamespace(isqrt=counting_isqrt, inf=math.inf)
+    try:
+        yield roots
+    finally:
+        engine.math = original
+
+
 class TestKernel:
     @given(
         walk=st.sampled_from("yx"),
@@ -882,13 +901,14 @@ class TestKernel:
             st.integers(min_value=_T, max_value=3 * _SLICE),
             st.integers(min_value=0, max_value=1 << 41),
         ),
-        length=st.integers(min_value=0, max_value=2 * _SLICE + 100),
-        hit=st.none() | st.integers(min_value=0, max_value=2 * _SLICE + 99),
+        length=st.integers(min_value=0, max_value=_SLICE),
+        hit=st.none() | st.integers(min_value=0, max_value=_SLICE + 99),
     )
     @settings(max_examples=40, deadline=None)
     def test_isqrt_sees_exactly_the_u_the_screens_admit(self, walk, odd, factor, i, length, hit):
         # past _T the kernel takes a root of exactly the u that pass the
-        # mod-704, 63 and 65 screens, in ascending order, up to the hit
+        # mod-704, 63 and 65 screens, in ascending order, up to the hit,
+        # in any window of up to one slice
         if walk == "x":
             n = factor * odd
             if hit is not None:  # plant n + (i + hit)**2 == (i + hit + gap)**2
@@ -906,24 +926,14 @@ class TestKernel:
                 n = factor * odd
         i = max(i, _T)
         a, c = _walk_shape(walk, n)
-        roots = []
-
-        def counting_isqrt(t):
-            roots.append(math.isqrt(t - c))  # the u with u*u + c == t
-            return math.isqrt(t)
-
         expected = []
         for u in range(a + i, a + i + length):
             if _passes_the_screens(u, c):
                 expected.append(u)
                 if math.isqrt(u * u + c) ** 2 == u * u + c:
                     break
-        original = engine.math
-        engine.math = SimpleNamespace(isqrt=counting_isqrt)
-        try:
+        with _roots_taken(c) as roots:
             found = _scan(a, c, i, i + length)
-        finally:
-            engine.math = original
         assert found == _reference_scan(a, c, i, i + length)
         assert roots == expected
 
@@ -1017,18 +1027,6 @@ class TestKernel:
                 for i in range(end + 1):
                     assert _scan(a, c, i, end) == _reference_scan(a, c, i, end), (i, end)
 
-    @pytest.mark.parametrize("walk", "yx")
-    def test_a_window_longer_than_a_mask_misses_no_piece_edge(self, walk):
-        # a window past _T is sieved in pieces of _SLICE indices: a hit just
-        # before, at and just after a piece edge is found, and one two
-        # pieces in
-        for start in (_T, _T + 1, 5000):
-            for hit in (_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE):
-                a, c = _planted(walk, start + hit)
-                found = _scan(a, c, start, start + 3 * _SLICE)
-                assert found == _reference_scan(a, c, 0, start + hit + 1), (start, hit)
-                assert found[0] == a + start + hit
-
 
 # ~66-bit moduli whose first hit lies 3.5 slices into the walk: p * q with
 # k = 57344 on the y-walk and x = 58129 on the x-walk
@@ -1036,6 +1034,17 @@ _DEEP = {
     "fermat": (8558559617, 8621334263, 57344),
     "xscan": (8589716579, 8589832837, 58129),
 }
+
+
+def _slice_edge_cases(method):
+    # (start, hit, a, c, state): the walk's first hit is at index start +
+    # hit, and state resumes it at start, past _T
+    walk, key = ("y", "k") if method == "fermat" else ("x", "x")
+    for start in (_T, _T + 1, 5000):
+        for hit in (_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE):
+            a, c = _planted(walk, start + hit)
+            n = abs(c)  # c is -n on the y-walk, n on the x-walk
+            yield start, hit, a, c, parse_checkpoint(f"n={n} y0={ceil_sqrt(n)} {key}={start}")
 
 
 class TestDriver:
@@ -1060,6 +1069,30 @@ class TestDriver:
                 done = edge
             assert isinstance(out, BudgetExhausted) and out.iterations == done
             assert resume(parse_checkpoint(checkpoint_line(out.resume))) == one_run, chain
+
+    @pytest.mark.parametrize("method", sorted(_WALKS))
+    def test_a_hit_at_a_slice_edge_is_found(self, method):
+        # resumed past _T, the walk's slices end at start + s * _SLICE: a
+        # hit just before, at and just after the first edge is found, and
+        # one on the second
+        plain = _plain_fermat if method == "fermat" else _plain_xscan
+        for start, hit, _, _, state in _slice_edge_cases(method):
+            out = _WALKS[method][1](state, Budget(max_iterations=3 * _SLICE))
+            assert isinstance(out, Found) and out.iterations == start + hit, (start, hit)
+            assert out == plain(state.n, start, 3 * _SLICE)
+
+    @pytest.mark.parametrize("method", sorted(_WALKS))
+    def test_isqrt_sees_exactly_the_u_the_screens_admit_across_slices(self, method):
+        # over several slices the walk takes a root of exactly the u that
+        # pass the mod-704, 63 and 65 screens, ascending, up to and
+        # including the hit
+        for start, hit, a, c, state in _slice_edge_cases(method):
+            u0 = a + start
+            expected = [u for u in range(u0, u0 + hit + 1) if _passes_the_screens(u, c)]
+            with _roots_taken(c) as roots:
+                out = _WALKS[method][1](state, Budget(max_iterations=3 * _SLICE))
+            assert out.iterations == start + hit
+            assert roots == expected, (start, hit)
 
     @pytest.mark.parametrize("method", sorted(_WALKS))
     @given(

@@ -188,6 +188,25 @@ class TestGenerateInWindow:
         with pytest.raises(FeasibilityError, match=r"\[1, 1\].*q - p > 0 is even"):
             generate_in_window(16, 1, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "bits, gap_lo, gap_hi, wording",
+        [
+            (64, 2**40, 2**41, r"\[1099511627776, 2199023255552\]: with p > 2\^31, .* 65 bits"),
+            (1024, 2**520, 2**521, r"\[a 521-bit integer, .*: with p > 2\^511, .* 1025 bits"),
+        ],
+    )
+    def test_size_is_decided_before_any_primality_test(
+        self, monkeypatch, bits, gap_lo, gap_hi, wording
+    ):
+        # every p is above 2^(half - 1) and q - p is at least the smallest
+        # even gap in the window, so every n here is over bits + 1 bits
+        def never(*args, **kwargs):
+            raise AssertionError("is_probable_prime was called")
+
+        monkeypatch.setattr(semiprimes, "is_probable_prime", never)
+        with pytest.raises(FeasibilityError, match=wording):
+            generate_in_window(bits, gap_lo, gap_hi, seed=1)
+
     def test_non_int_bits_rejected(self):
         with pytest.raises(ValueError, match="bits must be an int, got 64.0"):
             generate_in_window(64.0, 0, 16, 1)
