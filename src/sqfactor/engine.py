@@ -45,20 +45,22 @@ Both walks seek the first j for which (a + j)**2 + c is a perfect
 square, the y-walk with (a, c) = (y0, -n) and the x-walk with (0, n).
 One kernel, _scan, runs that search over one slice, i <= j < end.  It
 takes an exact root only of the u = a + j for which u*u + c can be a
-square modulo 64, 11, 63 and 65, and it finds them in two stages.
-Below index _T it steps u from one value to the next that a step table
-allows (keyed by c mod 704 = 64*11, it skips every u failing the
-screens mod 64 and mod 11), carries t = u*u + c and screens t mod 63
-and 65.  From _T on it sieves: three cached mask ints, one per (m, c
-mod m) for m = 704, 63 and 65, have bit v set iff every u = v (mod m)
-passes the screen mod m.  Shifted to the slice's first sieved u and
-ANDed, they leave set exactly the bits of the u that pass all four
-screens; one pass over the result's binary string reads them in
-ascending order, and t is built only for those u.  Both stages admit
-the same u, so neither changes which u reaches the square root.  A
-tiny split, over before _T, builds no mask.  c is odd, so there are at
-most 352 step tables, in the list _steps, and 352 + 63 + 65 masks, in
-_mask's cache.
+square modulo each of a set of screens, and it finds them in two
+stages.  Below index _T it steps u from one value to the next that a
+step table allows (keyed by c mod 704 = 64*11, it skips every u failing
+the screens mod 64 and mod 11), carries t = u*u + c and screens t mod
+63 and 65.  From _T on it sieves: one cached mask int per (m, c mod m)
+for m in _SIEVE (704, 63, 65 and the primes 17 to 41) has bit v set iff
+every u = v (mod m) passes the screen mod m.  Shifted to the slice's
+first sieved u and ANDed, they leave set exactly the bits of the u that
+pass every screen; a slice with none is done, and otherwise one pass
+over the result's binary string reads them in ascending order, and t
+is built only for those u.  Stage 2 screens by more moduli, so it
+admits a subset of the u stage 1 would.  Neither changes a hit or an
+iteration count: a square passes every screen.  A tiny split, over
+before _T, builds no mask.  c is odd, so there are at most 352 step
+tables, in the list _steps, and 352 + 63 + 65 + 197 masks, in _mask's
+cache.
 
 The driver, _walk, calls the kernel once per slice of _SLICE candidates
 and owns everything else: the stop index a budget sets, the deadline
@@ -388,19 +390,26 @@ def _step_table(c_mod_704: int) -> bytes:
 _steps = [None] * 704
 
 
-@lru_cache(maxsize=None)  # keys (m, c % m): at most 352 + 63 + 65 of them
+# Stage 2's sieve moduli: the step table's 704, the 63 and 65 of stage 1's
+# screens, and the primes 17 to 41.  13 is left out: a square mod 65 is a
+# square mod 13, so the 65 mask already clears every u a 13 mask would.
+_SIEVE = (704, 63, 65, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=None)  # keys (m, c % m): at most 352 + 63 + 65 + 197 of them
 def _mask(m: int, c_mod_m: int) -> int:
     """Int of _SLICE + m bits whose bit v is set iff every u = v (mod m)
     passes the screen mod m: mod 64 and mod 11 (the step table's screens)
-    for m = 704, else u*u + c can be a square mod m.
+    for m = 704, else u*u + c can be a square mod m.  When m divides c,
+    every u passes.
 
     One period of m bits is doubled by shifts until it covers the mask.
     """
     if m == 704:
         allowed = _allowed_704(c_mod_m)
     else:
-        squares = SQUARE_RESIDUES[m]
-        allowed = [r for r in range(m) if squares[(r * r + c_mod_m) % m]]
+        squares = {v * v % m for v in range(m)}
+        allowed = [r for r in range(m) if (r * r + c_mod_m) % m in squares]
     mask = sum([1 << v for v in allowed])
     width = m
     while width < _SLICE + m:
@@ -415,8 +424,9 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
 
     The window is one slice: its sieved part [max(i, _T), end) is at
     most _SLICE long.  Both stages, described in the module docstring,
-    examine the u that pass the screens mod 64, 11, 63 and 65, in
-    ascending order: stepping below walk index _T, sieving from it.
+    examine in ascending order the u that pass their screens: those mod
+    64, 11, 63 and 65 stepping below walk index _T, and those of the
+    moduli in _SIEVE sieving from it.
     """
     if i < _T:
         key = c % 704  # nonnegative also for negative c
@@ -439,10 +449,14 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
         if end <= _T:
             return None
         i = _T
-    isqrt = math.isqrt
-    m704, m63, m65 = _mask(704, c % 704), _mask(63, c % 63), _mask(65, c % 65)
     u = a + i
-    bits = bin((m704 >> u % 704) & (m63 >> u % 63) & (m65 >> u % 65) & ((1 << (end - i)) - 1))
+    acc = (1 << (end - i)) - 1
+    for m in _SIEVE:
+        acc &= _mask(m, c % m) >> u % m
+    if not acc:
+        return None
+    isqrt = math.isqrt
+    bits = bin(acc)
     top = u + len(bits) - 1  # the character at index p stands for top - p
     p = bits.rfind("1")  # the "0b" prefix holds no "1"
     while p >= 0:

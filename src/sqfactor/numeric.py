@@ -13,7 +13,8 @@ The square detector is split in two layers:
   any table proves n is not a square.  The four moduli are cheap to
   reduce by (64 is a mask) and jointly pass only about 0.8% of
   uniformly random non-squares.  The factor searches in ``engine`` read
-  the same tables.
+  the tables for 64 and 11 (their step tables) and for 63 and 65 (their
+  stepping stage's screens); their sieve builds its own residue sets.
 * ``is_perfect_square`` runs the filter, then confirms survivors with an
   exact integer square root.
 

@@ -18,9 +18,9 @@ Generation strategy: draw a random odd starting point with bits/2
 for a prime q with q - p inside the requested gap window.  A window
 that no pair can fill raises FeasibilityError before any draw: one
 with no even gap (p and q are odd), and one whose smallest even gap
-makes n wider than bits + 1 bits (every p is above 2^(half - 1)).  A
-failed window scan restarts with fresh randomness, and MAX_ATTEMPTS
-restarts bound the rest.
+makes n wider than bits + 1 bits even at the smallest p a draw can
+give, 2^(half - 1) + 1.  A failed window scan restarts with fresh
+randomness, and MAX_ATTEMPTS restarts bound the rest.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
     lowest = max(gap_lo, 1)
     gap = 0 if gap_hi == 0 else lowest + lowest % 2  # the smallest even gap in the window
     half = (bits + 1) // 2
-    least = 1 << (half - 1)  # every p is above it
+    least = 1 << (half - 1) | 1  # the smallest p: every start is least | ...
     if gap > gap_hi:
         reason = (
             "p and q are odd primes, so a gap q - p > 0 is even, and the window holds no "
@@ -148,7 +148,7 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
         reason = f"with p > 2^{half - 1}, n = p*q is over {bits + 1} bits"
     else:
         for _ in range(MAX_ATTEMPTS):
-            start = least | rng.bits(half - 1) | 1
+            start = least | rng.bits(half - 1)
             p = _first_prime(start, start + 2 * _WALK_LIMIT - 1, rng)
             if p is None:
                 continue

@@ -38,7 +38,7 @@ from sqfactor.engine import (
     _y_state,
     xscan_factor,
 )
-from sqfactor.numeric import SQUARE_RESIDUES, ceil_sqrt, is_perfect_square
+from sqfactor.numeric import ceil_sqrt, is_perfect_square
 from sqfactor.semiprimes import SemiprimeSpec, generate
 
 odd_moduli = st.integers(min_value=1, max_value=1 << 128).map(lambda v: 2 * v + 1)
@@ -816,19 +816,26 @@ _window_lengths = st.one_of(
     st.integers(min_value=0, max_value=3 * _T + 130),
     st.integers(min_value=0, max_value=_SLICE),
 )
+# the primes past stage 1's screens that stage 2 sieves by (13 divides 65)
+_PRIMES = (17, 19, 23, 29, 31, 37, 41)
 # (m, r): move a window's start so that its first u is r mod m, at a period
 # edge of a sieve mask, or leave it where it is
 _mask_edges = st.one_of(
     st.none(),
-    st.tuples(st.sampled_from((704, 63, 65)), st.sampled_from((0, 1, -2, -1))),
+    st.tuples(st.sampled_from((704, 63, 65) + _PRIMES), st.sampled_from((0, 1, -2, -1))),
 )
+# factors of c that make the masks of _PRIMES admit every u, and with 4095 =
+# 63 * 65 also the 63 and 65 masks
+_ALL_IN = (math.prod(_PRIMES), 4095 * math.prod(_PRIMES))
+_SQUARES = {m: {v * v % m for v in range(m)} for m in (64, 11, 63, 65) + _PRIMES}
 
 
-def _passes_the_screens(u, c, moduli=(64, 11, 63, 65)):
+def _passes_the_screens(u, c, moduli=(64, 11, 63, 65) + _PRIMES):
     # u*u + c can be a square mod each of the moduli; by default those of
-    # the mod-704 mask (64 and 11) and of the 63 and 65 masks
+    # stage 2's sieve: the mod-704 mask (64 and 11), the 63 and 65 masks
+    # and the masks of _PRIMES
     t = u * u + c
-    return all(SQUARE_RESIDUES[m][t % m] for m in moduli)
+    return all(t % m in _SQUARES[m] for m in moduli)
 
 
 @contextlib.contextmanager
@@ -853,9 +860,10 @@ class TestKernel:
     @given(
         walk=st.sampled_from("yx"),
         odd=st.integers(min_value=1, max_value=1 << 200).map(lambda v: 2 * v + 1),
-        # c divisible by 3, 5, 7, 11 or 13 makes the screens admit more, and
-        # by 63 * 65 makes the 63 and 65 masks admit every u
-        factor=st.sampled_from((1, 3, 5, 7, 11, 13, 3 * 5 * 7 * 11 * 13, 63 * 65)),
+        # c divisible by 3, 5, 7, 11 or 13 makes the screens admit more, by
+        # 63 * 65 makes the 63 and 65 masks admit every u, and by one of
+        # _ALL_IN makes the masks of every modulus it divides admit every u
+        factor=st.sampled_from((1, 3, 5, 7, 11, 13, 3 * 5 * 7 * 11 * 13, 63 * 65) + _ALL_IN),
         i=_window_starts,
         edge=_mask_edges,
         length=_window_lengths,
@@ -896,7 +904,7 @@ class TestKernel:
     @given(
         walk=st.sampled_from("yx"),
         odd=st.integers(min_value=1, max_value=1 << 200).map(lambda v: 2 * v + 1),
-        factor=st.sampled_from((1, 3, 5, 7, 11, 63 * 65)),
+        factor=st.sampled_from((1, 3, 5, 7, 11, 63 * 65) + _ALL_IN),
         i=st.one_of(
             st.integers(min_value=_T, max_value=3 * _SLICE),
             st.integers(min_value=0, max_value=1 << 41),
@@ -906,9 +914,9 @@ class TestKernel:
     )
     @settings(max_examples=40, deadline=None)
     def test_isqrt_sees_exactly_the_u_the_screens_admit(self, walk, odd, factor, i, length, hit):
-        # past _T the kernel takes a root of exactly the u that pass the
-        # mod-704, 63 and 65 screens, in ascending order, up to the hit,
-        # in any window of up to one slice
+        # past _T the kernel takes a root of exactly the u that pass every
+        # screen of stage 2's sieve, in ascending order, up to the hit, in
+        # any window of up to one slice
         if walk == "x":
             n = factor * odd
             if hit is not None:  # plant n + (i + hit)**2 == (i + hit + gap)**2
@@ -954,9 +962,9 @@ class TestKernel:
         assert _mask.cache_info().currsize == 0
 
     def test_screen_caches_stay_bounded(self):
-        # keyed by (m, c % m) for m = 704, 63 and 65 with c odd, and by c %
-        # 704, the masks and the step tables need no eviction however many
-        # moduli a process walks
+        # keyed by (m, c % m) for m = 704 with c odd, 63, 65 and _PRIMES,
+        # and by c % 704, the masks and the step tables need no eviction
+        # however many moduli a process walks
         rng = random.Random(15)
         moduli = {rng.randrange(1 << 40, 1 << 64) | 1 for _ in range(200)}
         assert len(moduli) == 200
@@ -964,7 +972,7 @@ class TestKernel:
             for walk in (fermat_factor, xscan_factor):
                 out = walk(n, Budget(max_iterations=_T + 200))
                 assert isinstance(out, BudgetExhausted)  # so every walk passed _T
-        assert 100 < _mask.cache_info().currsize <= 352 + 63 + 65
+        assert 100 < _mask.cache_info().currsize <= 352 + 63 + 65 + sum(_PRIMES)
         assert sum(table is not None for table in _steps) <= 352
 
     def test_every_step_table_matches_its_definition(self):
@@ -986,7 +994,8 @@ class TestKernel:
     def test_every_mask_matches_its_definition(self):
         # bit v of the mask for (m, c) is set iff u = v (mod m) passes the
         # screen mod m, for every v below _SLICE + m and no bit beyond
-        for m, moduli in ((704, (64, 11)), (63, (63,)), (65, (65,))):
+        for m in (704, 63, 65) + _PRIMES:
+            moduli = (64, 11) if m == 704 else (m,)
             for c in range(1, m, 2) if m == 704 else range(m):
                 period = "".join(
                     "1" if _passes_the_screens(v, c, moduli) else "0" for v in range(m)
@@ -1084,7 +1093,7 @@ class TestDriver:
     @pytest.mark.parametrize("method", sorted(_WALKS))
     def test_isqrt_sees_exactly_the_u_the_screens_admit_across_slices(self, method):
         # over several slices the walk takes a root of exactly the u that
-        # pass the mod-704, 63 and 65 screens, ascending, up to and
+        # pass every screen of stage 2's sieve, ascending, up to and
         # including the hit
         for start, hit, a, c, state in _slice_edge_cases(method):
             u0 = a + start

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from sqfactor import semiprimes
 from sqfactor.bench import run_study
 from sqfactor.engine import Found, fermat_factor
-from sqfactor.numeric import ceil_sqrt
+from sqfactor.numeric import ceil_sqrt, is_probable_prime
 from sqfactor.semiprimes import (
     FeasibilityError,
     GeneratedSemiprime,
@@ -18,6 +19,25 @@ from sqfactor.semiprimes import (
     ladder_windows,
     rung_seeds,
 )
+
+
+def _draws_without_the_size_rule(bits, gap_lo, gap_hi, seed):
+    # generate_in_window's restart loop, for gap_lo >= 1, with no rule on
+    # n's size: the (p, q) it draws, or None once MAX_ATTEMPTS restarts
+    # have failed
+    rng = SplitMix64(seed)
+    half = (bits + 1) // 2
+
+    def first_prime(lo, hi):
+        return next((t for t in range(lo | 1, hi + 1, 2) if is_probable_prime(t, rng=rng)), None)
+
+    for _ in range(semiprimes.MAX_ATTEMPTS):
+        start = 1 << (half - 1) | rng.bits(half - 1) | 1
+        p = first_prime(start, start + 2 * semiprimes._WALK_LIMIT - 1)
+        q = p and first_prime(p + max(gap_lo, 1), p + gap_hi)
+        if q and abs((p * q).bit_length() - bits) <= 1:
+            return p, q
+    return None
 
 
 def _is_prime_by_trial_division(n):
@@ -206,6 +226,44 @@ class TestGenerateInWindow:
         monkeypatch.setattr(semiprimes, "is_probable_prime", never)
         with pytest.raises(FeasibilityError, match=wording):
             generate_in_window(bits, gap_lo, gap_hi, seed=1)
+
+    @pytest.mark.parametrize(
+        "bits, gap_lo, gap_hi",
+        [(12, 222, 224), (64, 2**34 - 2**31 - 2, 2**34 - 2**31)],
+    )
+    def test_size_rule_starts_from_the_smallest_odd_p(self, monkeypatch, bits, gap_lo, gap_hi):
+        # 2^(half - 1) * (2^(half - 1) + gap) fits in bits + 1 bits here,
+        # but p is odd, and (2^(half - 1) + 1) * (2^(half - 1) + 1 + gap)
+        # does not
+        def never(*args, **kwargs):
+            raise AssertionError("is_probable_prime was called")
+
+        monkeypatch.setattr(semiprimes, "is_probable_prime", never)
+        with pytest.raises(FeasibilityError, match=f"is over {bits + 1} bits$"):
+            generate_in_window(bits, gap_lo, gap_hi, seed=0)
+
+    @given(
+        bits=st.integers(min_value=8, max_value=80),
+        back=st.integers(min_value=-4, max_value=16),
+        shift=st.integers(min_value=-8, max_value=8),
+        width=st.integers(min_value=0, max_value=64),
+        seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_windows_near_the_size_bound_keep_their_results(self, bits, back, shift, width, seed):
+        # the size rule only refuses windows no draw can fill: near its
+        # bound, a request gives the semiprime that the restart loop with no
+        # rule draws, and is refused only where that loop finds none
+        least = (1 << (bits - 1) // 2) + 1  # the smallest p
+        widest = ((1 << bits + 1) - 1) // least - least  # the largest gap that fits bits + 1
+        gap_lo = max(1, widest - widest * back // 16 + shift)
+        with mock.patch.object(semiprimes, "MAX_ATTEMPTS", 20):
+            want = _draws_without_the_size_rule(bits, gap_lo, gap_lo + width, seed)
+            try:
+                got = generate_in_window(bits, gap_lo, gap_lo + width, seed)
+            except FeasibilityError:
+                got = None
+        assert (got and (got.p, got.q)) == want
 
     def test_non_int_bits_rejected(self):
         with pytest.raises(ValueError, match="bits must be an int, got 64.0"):
