@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sqfactor import semiprimes
 from sqfactor.bench import run_study
 from sqfactor.engine import Found, fermat_factor
-from sqfactor.numeric import ceil_sqrt, is_probable_prime
+from sqfactor.numeric import ceil_sqrt
 from sqfactor.semiprimes import (
     FeasibilityError,
     GeneratedSemiprime,
@@ -27,14 +27,11 @@ def _draws_without_the_size_rule(bits, gap_lo, gap_hi, seed):
     # have failed
     rng = SplitMix64(seed)
     half = (bits + 1) // 2
-
-    def first_prime(lo, hi):
-        return next((t for t in range(lo | 1, hi + 1, 2) if is_probable_prime(t, rng=rng)), None)
-
+    first_prime = semiprimes._first_prime
     for _ in range(semiprimes.MAX_ATTEMPTS):
         start = 1 << (half - 1) | rng.bits(half - 1) | 1
-        p = first_prime(start, start + 2 * semiprimes._WALK_LIMIT - 1)
-        q = p and first_prime(p + max(gap_lo, 1), p + gap_hi)
+        p = first_prime(start, start + 2 * semiprimes._WALK_LIMIT - 1, rng)
+        q = p and first_prime(p + gap_lo, p + gap_hi, rng)
         if q and abs((p * q).bit_length() - bits) <= 1:
             return p, q
     return None
@@ -213,13 +210,17 @@ class TestGenerateInWindow:
         [
             (64, 2**40, 2**41, r"\[1099511627776, 2199023255552\]: with p > 2\^31, .* 65 bits"),
             (1024, 2**520, 2**521, r"\[a 521-bit integer, .*: with p > 2\^511, .* 1025 bits"),
+            # only p = 2^(half - 1), which is even, would fit these
+            (12, 222, 224, r"\[222, 224\]: with p > 2\^5, .* 13 bits"),
+            (64, 2**34 - 2**31 - 2, 2**34 - 2**31, r"\[15032385534, 15032385536\]: .* 65 bits"),
         ],
     )
     def test_size_is_decided_before_any_primality_test(
         self, monkeypatch, bits, gap_lo, gap_hi, wording
     ):
-        # every p is above 2^(half - 1) and q - p is at least the smallest
-        # even gap in the window, so every n here is over bits + 1 bits
+        # every p is odd and above 2^(half - 1) and q - p is at least the
+        # smallest even gap in the window, so every n here is over bits + 1
+        # bits
         def never(*args, **kwargs):
             raise AssertionError("is_probable_prime was called")
 
@@ -227,20 +228,19 @@ class TestGenerateInWindow:
         with pytest.raises(FeasibilityError, match=wording):
             generate_in_window(bits, gap_lo, gap_hi, seed=1)
 
-    @pytest.mark.parametrize(
-        "bits, gap_lo, gap_hi",
-        [(12, 222, 224), (64, 2**34 - 2**31 - 2, 2**34 - 2**31)],
-    )
-    def test_size_rule_starts_from_the_smallest_odd_p(self, monkeypatch, bits, gap_lo, gap_hi):
-        # 2^(half - 1) * (2^(half - 1) + gap) fits in bits + 1 bits here,
-        # but p is odd, and (2^(half - 1) + 1) * (2^(half - 1) + 1 + gap)
-        # does not
-        def never(*args, **kwargs):
-            raise AssertionError("is_probable_prime was called")
-
-        monkeypatch.setattr(semiprimes, "is_probable_prime", never)
-        with pytest.raises(FeasibilityError, match=f"is over {bits + 1} bits$"):
-            generate_in_window(bits, gap_lo, gap_hi, seed=0)
+    def test_size_rule_is_exact_at_the_smallest_odd_p(self, monkeypatch):
+        # the widest even gap g with (2^(half - 1) + 1) * (2^(half - 1) + 1 +
+        # g) in bits + 1 bits passes the rule, and g + 2 does not; with no
+        # attempts allowed, passing it ends in "none found"
+        monkeypatch.setattr(semiprimes, "MAX_ATTEMPTS", 0)
+        for bits in range(4, 300):
+            least = (1 << (bits - 1) // 2) + 1
+            widest = ((1 << bits + 1) - 1) // least - least
+            widest -= widest % 2
+            with pytest.raises(FeasibilityError, match="none found in 0 attempts$"):
+                generate_in_window(bits, widest, widest, 0)
+            with pytest.raises(FeasibilityError, match=f"is over {bits + 1} bits$"):
+                generate_in_window(bits, widest + 2, widest + 2, 0)
 
     @given(
         bits=st.integers(min_value=8, max_value=80),
