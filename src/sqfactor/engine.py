@@ -51,16 +51,20 @@ step table allows (keyed by c mod 704 = 64*11, it skips every u failing
 the screens mod 64 and mod 11), carries t = u*u + c and screens t mod
 63 and 65.  From _T on it sieves: one cached mask int per (m, c mod m)
 for m in _SIEVE (704, 63, 65 and the primes 17 to 41) has bit v set iff
-every u = v (mod m) passes the screen mod m.  Shifted to the slice's
-first sieved u and ANDed, they leave set exactly the bits of the u that
-pass every screen; a slice with none is done, and otherwise one pass
-over the result's binary string reads them in ascending order, and t
-is built only for those u.  Stage 2 screens by more moduli, so it
-admits a subset of the u stage 1 would.  Neither changes a hit or an
-iteration count: a square passes every screen.  A tiny split, over
-before _T, builds no mask.  c is odd, so there are at most 352 step
-tables, in the list _steps, and 352 + 63 + 65 + 197 masks, in _mask's
-cache.
+every u = v (mod m) passes the screen mod m, and _masks looks a walk's
+ten masks up once per c, not once per slice.  Every screen reads only
+u*u, so a mask is symmetric under u -> -u: shifted right by -top mod m,
+top being the slice's last u, its bit v stands for u = top - v.  ANDed,
+the ten leave set exactly the bits of the u that pass every screen,
+the lowest u in the highest bit; a slice with none is done.  The
+kernel reads the first _FEW of them by bit_length() and any left over
+in one pass over the result's binary string, which in this orientation
+ascends in u; t is built only for those u.  Stage 2 screens by more
+moduli, so it admits a subset of the u stage 1 would.  Neither changes
+a hit or an iteration count: a square passes every screen.  A tiny
+split, over before _T, builds no mask.  c is odd, so there are at most
+352 step tables, in the list _steps, and 352 + 63 + 65 + 197 masks, in
+_mask's cache; _masks keeps the last four c.
 
 The driver, _walk, calls the kernel once per slice of _SLICE candidates
 and owns everything else: the stop index a budget sets, the deadline
@@ -401,7 +405,8 @@ def _mask(m: int, c_mod_m: int) -> int:
     """Int of _SLICE + m bits whose bit v is set iff every u = v (mod m)
     passes the screen mod m: mod 64 and mod 11 (the step table's screens)
     for m = 704, else u*u + c can be a square mod m.  When m divides c,
-    every u passes.
+    every u passes.  Each screen reads only u*u, so bit v equals bit
+    (-v) % m within a period.
 
     One period of m bits is doubled by shifts until it covers the mask.
     """
@@ -418,6 +423,19 @@ def _mask(m: int, c_mod_m: int) -> int:
     return mask & ((1 << (_SLICE + m)) - 1)
 
 
+# Four entries hold the y-walk and the x-walk of one n run in turns (c = -n
+# and c = n) with room to spare; a new c pays its ten _mask lookups once.
+@lru_cache(maxsize=4)
+def _masks(c: int) -> tuple:
+    """The pairs (m, _mask(m, c % m)) for m in _SIEVE."""
+    return tuple([(m, _mask(m, c % m)) for m in _SIEVE])
+
+
+# Survivors a slice reads by its highest set bit, about 0.2 us each, before
+# one bin() pass, about 11 us for a whole slice, reads the rest.
+_FEW = 8
+
+
 def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
     r*r, or None.
@@ -426,7 +444,9 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     most _SLICE long.  Both stages, described in the module docstring,
     examine in ascending order the u that pass their screens: those mod
     64, 11, 63 and 65 stepping below walk index _T, and those of the
-    moduli in _SIEVE sieving from it.
+    moduli in _SIEVE sieving from it.  The sieve's bit v stands for u =
+    top - v, top being the slice's last u, so the highest set bit is the
+    lowest surviving u.
     """
     if i < _T:
         key = c % 704  # nonnegative also for negative c
@@ -449,23 +469,31 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
         if end <= _T:
             return None
         i = _T
-    u = a + i
+    top = a + end - 1
     acc = (1 << (end - i)) - 1
-    for m in _SIEVE:
-        acc &= _mask(m, c % m) >> u % m
-    if not acc:
-        return None
+    for m, mask in _masks(c):
+        acc &= mask >> -top % m
     isqrt = math.isqrt
-    bits = bin(acc)
-    top = u + len(bits) - 1  # the character at index p stands for top - p
-    p = bits.rfind("1")  # the "0b" prefix holds no "1"
-    while p >= 0:
+    for _ in range(_FEW):
+        if not acc:
+            return None
+        p = acc.bit_length() - 1
         v = top - p
         t = v * v + c
         r = isqrt(t)
         if r * r == t:
             return v, r
-        p = bits.rfind("1", 0, p)
+        acc ^= 1 << p
+    bits = bin(acc)
+    base = top + 1 - len(bits)  # the character at index p stands for base + p
+    p = bits.find("1")  # the "0b" prefix holds no "1"
+    while p >= 0:
+        v = base + p
+        t = v * v + c
+        r = isqrt(t)
+        if r * r == t:
+            return v, r
+        p = bits.find("1", p + 1)
     return None
 
 

@@ -19,8 +19,9 @@ for a prime q with q - p inside the requested gap window.  A window
 that no pair can fill raises FeasibilityError before any draw: one
 with no even gap (p and q are odd), and one whose smallest even gap
 makes n wider than bits + 1 bits even at the smallest p a draw can
-give, 2^(half - 1) + 1.  A failed window scan restarts with fresh
-randomness, and MAX_ATTEMPTS restarts bound the rest.
+give, the first prime above 2^(half - 1).  A failed window scan
+restarts with fresh randomness, and MAX_ATTEMPTS restarts bound the
+rest.
 """
 
 from __future__ import annotations
@@ -138,13 +139,19 @@ def generate_in_window(bits: int, gap_lo: int, gap_hi: int, seed: int) -> Genera
     lowest = max(gap_lo, 1)
     gap = 0 if gap_hi == 0 else lowest + lowest % 2  # the smallest even gap in the window
     half = (bits + 1) // 2
-    least = 1 << (half - 1) | 1  # the smallest p: every start is least | ...
+    least = 1 << (half - 1) | 1  # the smallest odd p: every start is least | ...
+    smallest = least  # the p at which the size rule is decided
+    if gap <= gap_hi and (least * (least + gap)).bit_length() == bits + 1:
+        # n only just fits at least, which need not be prime: decide at the
+        # first prime instead, tested with a generator of its own so that the
+        # request's draws stay as they are (Bertrand: it is at most 2 * least)
+        smallest = _first_prime(least, 2 * least, SplitMix64(0))
     if gap > gap_hi:
         reason = (
             "p and q are odd primes, so a gap q - p > 0 is even, and the window holds no "
             "even gap above 0"
         )
-    elif (least * (least + gap)).bit_length() > bits + 1:
+    elif (smallest * (smallest + gap)).bit_length() > bits + 1:
         reason = f"with p > 2^{half - 1}, n = p*q is over {bits + 1} bits"
     else:
         for _ in range(MAX_ATTEMPTS):

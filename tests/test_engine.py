@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sqfactor import engine
 from sqfactor.bench import load_rsa100
 from sqfactor.engine import (
+    _SIEVE,
     _SLICE,
     _T,
     Budget,
@@ -32,6 +33,7 @@ from sqfactor.engine import (
     resume_xscan,
     step,
     _mask,
+    _masks,
     _scan,
     _step_table,
     _steps,
@@ -856,6 +858,31 @@ def _roots_taken(c):
         engine.math = original
 
 
+# n divisible by 11 and by every odd sieve modulus: then only the mod-64
+# part of the 704 mask clears any u, and one u in eight survives
+_DENSE = 11 * 4095 * math.prod(_PRIMES)
+
+
+def _dense_planted(walk, hit):
+    # (a, c) of an odd n divisible by _DENSE whose window around the index
+    # `hit` holds one square, at `hit`
+    g = _DENSE * ((1 << 90) + 2 * hit + 1)
+    if walk == "x":
+        return 0, g * (g + 2 * hit)  # n + hit**2 == (g + hit)**2
+    # y = g + x, n = y*y - x*x = g * (g + 2*x): the least x whose index
+    # y - ceil_sqrt(n) reaches `hit` (it grows by at most 1 per step of x)
+    lo, hi = 0, 1 << 80
+    while lo < hi:
+        x = (lo + hi) // 2
+        if g + x - ceil_sqrt(g * (g + 2 * x)) < hit:
+            lo = x + 1
+        else:
+            hi = x
+    n = g * (g + 2 * lo)
+    assert g + lo - ceil_sqrt(n) == hit
+    return ceil_sqrt(n), -n
+
+
 class TestKernel:
     @given(
         walk=st.sampled_from("yx"),
@@ -1035,6 +1062,50 @@ class TestKernel:
             for end in range(2 * _T + 3):
                 for i in range(end + 1):
                     assert _scan(a, c, i, end) == _reference_scan(a, c, i, end), (i, end)
+
+    @pytest.mark.parametrize("walk", "yx")
+    def test_survivors_before_the_hit_are_read_in_order(self, walk):
+        # stage 2 reads a slice's first survivors by its highest set bit and
+        # the rest from one bin() string: windows with 0, 7, 8, 9 and 16
+        # survivors before the hit, or with no hit, and hits at a slice's
+        # first and last u, reach isqrt in ascending order and agree with
+        # the reference
+        hit = 3 * _SLICE + 101
+        a, c = _dense_planted(walk, hit)
+        survivors = [j for j in range(hit - _SLICE, hit) if _passes_the_screens(a + j, c)]
+        assert len(survivors) > 1000
+        windows = [(hit, hit + _SLICE), (hit + 1 - _SLICE, hit + 1)]  # first and last u
+        for count in (0, 7, 8, 9, 16):
+            i = survivors[-count] if count else survivors[-1] + 1
+            windows += [(i, hit), (i, hit + 1), (i, hit + 50)]
+        for i, end in windows:
+            expected = [a + j for j in range(i, min(end, hit + 1)) if _passes_the_screens(a + j, c)]
+            with _roots_taken(c) as roots:
+                found = _scan(a, c, i, end)
+            assert found == _reference_scan(a, c, i, end), (i, end)
+            assert (found is not None) == (end > hit), (i, end)
+            assert roots == expected, (i, end)
+
+    def test_a_walk_looks_its_masks_up_once(self):
+        # a resumed walk over four slices takes its masks from the per-c
+        # cache: at most one _mask call per sieve modulus, not one per slice
+        n = load_rsa100()
+        _masks.cache_clear()
+        before = _mask.cache_info()
+        state = _y_state(n, ceil_sqrt(n), (1 << 40) + 7)
+        out = resume_fermat(state, Budget(max_iterations=4 * _SLICE))
+        after = _mask.cache_info()
+        assert isinstance(out, BudgetExhausted) and out.iterations == state.k + 4 * _SLICE
+        assert after.hits + after.misses - before.hits - before.misses <= len(_SIEVE)
+
+    def test_the_per_c_mask_cache_stays_bounded(self):
+        # one entry per recent c, whatever the number of moduli walked
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randrange(1 << 40, 1 << 64) | 1
+            for walk in (fermat_factor, xscan_factor):
+                assert isinstance(walk(n, Budget(max_iterations=_T + 200)), BudgetExhausted)
+        assert _masks.cache_info().currsize <= 4
 
 
 # ~66-bit moduli whose first hit lies 3.5 slices into the walk: p * q with

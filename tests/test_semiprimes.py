@@ -1,4 +1,5 @@
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from sqfactor import semiprimes
 from sqfactor.bench import run_study
 from sqfactor.engine import Found, fermat_factor
-from sqfactor.numeric import ceil_sqrt
+from sqfactor.numeric import ceil_sqrt, is_probable_prime
 from sqfactor.semiprimes import (
     FeasibilityError,
     GeneratedSemiprime,
@@ -228,19 +229,26 @@ class TestGenerateInWindow:
         with pytest.raises(FeasibilityError, match=wording):
             generate_in_window(bits, gap_lo, gap_hi, seed=1)
 
-    def test_size_rule_is_exact_at_the_smallest_odd_p(self, monkeypatch):
-        # the widest even gap g with (2^(half - 1) + 1) * (2^(half - 1) + 1 +
-        # g) in bits + 1 bits passes the rule, and g + 2 does not; with no
-        # attempts allowed, passing it ends in "none found"
+    def test_size_rule_is_exact_at_the_smallest_prime_p(self, monkeypatch):
+        # p0, the first prime above 2^(half - 1): the widest even gap g with
+        # p0 * (p0 + g) in bits + 1 bits passes the rule, and g + 2 does not;
+        # with no attempts allowed, passing it ends in "none found"
         monkeypatch.setattr(semiprimes, "MAX_ATTEMPTS", 0)
+        witness_rng = random.Random(0)
         for bits in range(4, 300):
-            least = (1 << (bits - 1) // 2) + 1
-            widest = ((1 << bits + 1) - 1) // least - least
+            p0 = (1 << (bits - 1) // 2) + 1
+            while not is_probable_prime(p0, rng=witness_rng):
+                p0 += 2
+            widest = ((1 << bits + 1) - 1) // p0 - p0
             widest -= widest % 2
             with pytest.raises(FeasibilityError, match="none found in 0 attempts$"):
                 generate_in_window(bits, widest, widest, 0)
             with pytest.raises(FeasibilityError, match=f"is over {bits + 1} bits$"):
                 generate_in_window(bits, widest + 2, widest + 2, 0)
+        # 33 * (33 + 214) fits in 13 bits, but 33 is not prime and p = 37
+        # makes n 14 bits: refused at once, not after MAX_ATTEMPTS restarts
+        with pytest.raises(FeasibilityError, match="is over 13 bits$"):
+            generate_in_window(12, 214, 216, 0)
 
     @given(
         bits=st.integers(min_value=8, max_value=80),
