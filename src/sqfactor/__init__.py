@@ -1,18 +1,12 @@
 """Difference-of-squares factorization toolkit.
 
-Public surface: integer-root and square-test primitives (numeric),
-the budgeted factor searches (engine), deterministic semiprime
-generation (semiprimes), and the measurement harness (bench).
+Public surface: the budgeted factor searches and their records
+(engine), plus the ceiling square root and the primality test
+(numeric).  Deterministic semiprime generation (semiprimes) and the
+measurement harness (bench) are imported from their modules.
 """
 
 from .engine import *  # republishes engine.__all__
-from .numeric import (
-    SquareTestResult,
-    ceil_sqrt,
-    floor_sqrt,
-    is_perfect_square,
-    is_probable_prime,
-    residue_filter,
-)
+from .numeric import ceil_sqrt, is_probable_prime
 
 __version__ = "0.1.0"

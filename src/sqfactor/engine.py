@@ -7,13 +7,15 @@ and reports the first k where the deficit
 
     d_k = (y0 + k)**2 - n
 
-is itself a perfect square x*x.  Consecutive deficits obey
+is itself a perfect square x*x.  The paper's walk, Fermat's, steps the
+deficits one candidate at a time by the recurrence
 
     d_{k+1} = d_k + 2*y0 + 2*k + 1
 
-so the walk needs one addition per candidate, no multiplications.  The
-first hit gives p = y - x and q = y + x, and p is automatically the
-largest divisor of n not exceeding sqrt(n).
+The kernel below examines the same candidates in the same order, but
+jumps over those that residue screens rule out, by step table and by
+sieve.  The first hit gives p = y - x and q = y + x, and p is
+automatically the largest divisor of n not exceeding sqrt(n).
 
 Every odd n eventually hits the trivial representation at
 y = (n+1)/2 (p = 1, q = n), so a search that reaches it proves there is
@@ -23,11 +25,10 @@ unbudgeted search total.
 The state records SearchState, XScanState, Budget and NormalizedInput
 share one small __slots__ base, _Record, so that importing the engine
 does not import dataclasses.  Their public constructors validate
-outside input once.  Records the engine derives itself (init_search,
-step, parse_checkpoint once it has checked its tokens, the resumable
-state of a spent budget, and normalize_input's split of n) are built
-by _Record._trusted, which does not re-derive ceil_sqrt(n) or the
-deficit.
+outside input once, parse_checkpoint's included.  Records the engine
+derives itself (the resumable state of a spent budget and
+normalize_input's split of n) are built by _Record._trusted, which
+does not re-derive ceil_sqrt(n).
 
 Searches take an optional Budget and return a FactorOutcome sum type:
 Found, NoNontrivialFactor, or BudgetExhausted carrying a resumable
@@ -83,7 +84,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 
-from .numeric import SQUARE_RESIDUES, ceil_sqrt, int_to_str, require_int, shown, str_to_int
+from .numeric import ceil_sqrt, int_to_str, require_int, shown, str_to_int
 
 __all__ = [
     "Budget",
@@ -96,13 +97,11 @@ __all__ = [
     "XScanState",
     "checkpoint_line",
     "fermat_factor",
-    "init_search",
     "normalize_input",
     "parse_checkpoint",
     "predict_k",
     "resume_fermat",
     "resume_xscan",
-    "step",
     "xscan_factor",
 ]
 
@@ -110,7 +109,18 @@ __all__ = [
 # progress callback are serviced.
 _SLICE = 1 << 14
 _PROGRESS_INTERVAL = 1.0
-_SCREENS = (SQUARE_RESIDUES[63], SQUARE_RESIDUES[65])  # stage 1's screens past the step table
+
+
+def _squares(m: int) -> bytes:
+    """Byte r is 1 iff r is a square mod m."""
+    table = bytearray(m)
+    for v in range(m):
+        table[v * v % m] = 1
+    return bytes(table)
+
+
+_SQUARES_64, _SQUARES_11 = _squares(64), _squares(11)  # the step table's screens
+_SCREENS = (_squares(63), _squares(65))  # stage 1's screens past the step table
 # Walk index from which _scan sieves instead of stepping: one mod-64 period,
 # past the end of every tiny split (a y-split at k = 0, an x-split at x <=
 # 48), so those never build a mask.
@@ -175,15 +185,12 @@ class _Record:
 class SearchState(_Record):
     """Snapshot of the y-walk: candidate y = y0 + k is the next to examine."""
 
-    __slots__ = __match_args__ = ("n", "y0", "k", "d")
+    __slots__ = __match_args__ = ("n", "y0", "k")
 
-    def __new__(cls, n: int, y0: int, k: int, d: int):
+    def __new__(cls, n: int, y0: int, k: int):
         _require_start(n, y0)
         require_int("k", k)
-        require_int("d", d)
-        if d != (y0 + k) ** 2 - n:
-            raise ValueError("d must equal (y0 + k)**2 - n")
-        return cls._trusted(n, y0, k, d)
+        return cls._trusted(n, y0, k)
 
     @property
     def iterations(self) -> int:
@@ -236,25 +243,8 @@ class Budget(_Record):
         return cls._trusted(max_iterations, max_seconds)
 
 
-def _y_state(n: int, y0: int, k: int) -> SearchState:
-    # trusted: every caller has already checked n, y0 and k
-    return SearchState._trusted(n, y0, k, (y0 + k) ** 2 - n)
-
-
-_x_state = XScanState._trusted  # (n, y0, x), trusted like _y_state
-
-
-def init_search(n: int) -> SearchState:
-    """State whose first candidate is y = ceil_sqrt(n), i.e. k = 0."""
-    return _y_state(n, _start_root(n), 0)
-
-
-def step(state: SearchState) -> SearchState:
-    """Advance one candidate using the additive deficit recurrence."""
-    if not isinstance(state, SearchState):
-        raise ValueError(f"step needs a SearchState, got {type(state).__name__}")
-    n, y0, k, d = state.n, state.y0, state.k, state.d
-    return SearchState._trusted(n, y0, k + 1, d + 2 * y0 + 2 * k + 1)
+# (n, y0, k) and (n, y0, x), trusted: every caller has already checked them
+_y_state, _x_state = SearchState._trusted, XScanState._trusted
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -285,10 +275,7 @@ def parse_checkpoint(line: str) -> SearchState | XScanState:
         fields[key] = str_to_int(value)
     keys = set(fields)
     if keys == {"n", "y0", "k"}:
-        n, y0, k = fields["n"], fields["y0"], fields["k"]
-        _require_start(n, y0)
-        require_int("k", k)
-        return _y_state(n, y0, k)
+        return SearchState(n=fields["n"], y0=fields["y0"], k=fields["k"])
     if keys == {"n", "y0", "x"}:
         return XScanState(n=fields["n"], y0=fields["y0"], x=fields["x"])
     raise ValueError(
@@ -368,9 +355,8 @@ def _allowed_704(c_mod_704: int) -> list:
     704 has u = v mod 64 and u = w mod 11.  Both walks end at the trivial
     representation, a square, so the list is never empty.
     """
-    sq64, sq11 = SQUARE_RESIDUES[64], SQUARE_RESIDUES[11]
-    u64 = [385 * v for v in range(64) if sq64[(v * v + c_mod_704) % 64]]
-    u11 = [320 * w for w in range(11) if sq11[(w * w + c_mod_704) % 11]]
+    u64 = [385 * v for v in range(64) if _SQUARES_64[(v * v + c_mod_704) % 64]]
+    u11 = [320 * w for w in range(11) if _SQUARES_11[(w * w + c_mod_704) % 11]]
     return sorted([(x + y) % 704 for x in u64 for y in u11])
 
 
@@ -413,8 +399,8 @@ def _mask(m: int, c_mod_m: int) -> int:
     if m == 704:
         allowed = _allowed_704(c_mod_m)
     else:
-        squares = {v * v % m for v in range(m)}
-        allowed = [r for r in range(m) if (r * r + c_mod_m) % m in squares]
+        squares = _squares(m)
+        allowed = [r for r in range(m) if squares[(r * r + c_mod_m) % m]]
     mask = sum([1 << v for v in allowed])
     width = m
     while width < _SLICE + m:

@@ -1,27 +1,13 @@
-"""Arbitrary-precision integer primitives: integer square roots, exact
-perfect-square detection with a residue pre-filter, Miller-Rabin
-primality testing, and decimal conversion of any width.
+"""Arbitrary-precision integer primitives: the ceiling square root,
+Miller-Rabin primality testing, and decimal conversion of any width.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
 
-The square detector is split in two layers:
-
-* ``residue_filter`` rejects most non-squares by looking at the residue
-  of n modulo 64, 63, 65, and 11 in the ``SQUARE_RESIDUES`` tables.  A
-  square must be a quadratic residue modulo every modulus, so a miss in
-  any table proves n is not a square.  The four moduli are cheap to
-  reduce by (64 is a mask) and jointly pass only about 0.8% of
-  uniformly random non-squares.  The factor searches in ``engine`` read
-  the tables for 64 and 11 (their step tables) and for 63 and 65 (their
-  stepping stage's screens); their sieve builds its own residue sets.
-* ``is_perfect_square`` runs the filter, then confirms survivors with an
-  exact integer square root.
-
-``floor_sqrt`` and ``ceil_sqrt`` are ``math.isqrt`` and its ceiling,
-except that like every public function here they refuse a bool, a
-float, a string or None with ValueError where ``math.isqrt`` would
-take True as 1 or raise TypeError.
+``ceil_sqrt`` is the ceiling of ``math.isqrt``, except that like every
+public function here it refuses a bool, a float, a string or None with
+ValueError where ``math.isqrt`` would take True as 1 or raise
+TypeError.
 
 ``is_probable_prime`` takes one path for every n of 43 and up.  It picks
 its witnesses from ``_WITNESS_TIERS``, whose rows the known smallest
@@ -46,19 +32,6 @@ decides what an integer argument from outside is.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-
-
-def floor_sqrt(n: int) -> int:
-    """Largest r with r*r <= n; ValueError for negative n, and for an n
-    that ``require_int`` refuses.
-
-    >>> floor_sqrt(187)
-    13
-    """
-    if type(n) is not int:
-        require_int("n", n, None)
-    return math.isqrt(n)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -169,53 +142,6 @@ def require_int(name: str, value, lo: int | None = 0) -> int:
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {shown(value)}")
     return value
-
-
-# root is set iff is_square; root * root == the input
-SquareTestResult = namedtuple("SquareTestResult", "is_square root")
-
-
-def _square_residues(m: int) -> bytes:
-    table = bytearray(m)
-    for i in range(m):
-        table[i * i % m] = 1
-    return bytes(table)
-
-
-# Quadratic-residue membership tables: SQUARE_RESIDUES[m][n % m] is 1
-# iff n can be a square mod m.
-SQUARE_RESIDUES = {m: _square_residues(m) for m in (64, 63, 65, 11)}
-
-
-def residue_filter(n: int) -> bool:
-    """Fast soundness-preserving square screen.
-
-    False means n is provably not a perfect square (its residue modulo
-    64, 63, 65, or 11 is a non-residue).  True is inconclusive and must
-    be confirmed by an exact check.  Never returns False for a square.
-    """
-    if type(n) is not int:
-        require_int("n", n, None)
-    if n < 0:
-        raise ValueError("residue_filter is undefined for negative numbers")
-    return all(table[n % m] for m, table in SQUARE_RESIDUES.items())
-
-
-def is_perfect_square(n: int) -> SquareTestResult:
-    """Exact square test: no false positives, no false negatives.
-
-    >>> is_perfect_square(196)
-    SquareTestResult(is_square=True, root=14)
-    >>> is_perfect_square(2).is_square
-    False
-    """
-    if type(n) is not int:
-        require_int("n", n, None)
-    if n >= 0 and residue_filter(n):
-        r = math.isqrt(n)
-        if r * r == n:
-            return SquareTestResult(True, r)
-    return SquareTestResult(False, None)
 
 
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

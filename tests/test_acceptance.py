@@ -4,11 +4,12 @@ Each test is independent and self-contained; together they pin the
 behaviors this package promises: exact reference splits, an exhaustive
 million-modulus sweep against a sieve oracle, iteration-count
 identities, budget/resume fidelity on a hard modulus, agreement of the
-two scan methods, the analytic iteration curve, square-detection
-soundness, and bit-for-bit reproducibility.
+two scan methods, the analytic iteration curve, soundness of the
+walk's square screens, and bit-for-bit reproducibility.
 
 The sweep in criterion 2 visits every odd composite below one million
-and takes a few minutes; everything else finishes in seconds.
+and takes about 10 s on a 2-core box (CPython 3.11.7); everything else
+finishes in seconds.
 """
 
 import dataclasses
@@ -26,17 +27,22 @@ from sqfactor.bench import (
 )
 from sqfactor.cli import main
 from sqfactor.engine import (
+    _SCREENS,
+    _SIEVE,
+    _T,
     Budget,
     BudgetExhausted,
     Found,
     SearchState,
+    _mask,
+    _scan,
+    _step_table,
     fermat_factor,
-    init_search,
     predict_k,
     resume_fermat,
     xscan_factor,
 )
-from sqfactor.numeric import ceil_sqrt, floor_sqrt, is_perfect_square, residue_filter
+from sqfactor.numeric import ceil_sqrt
 from sqfactor.semiprimes import SemiprimeSpec, generate
 
 # Frozen totals and tolerances for the checks below.  Loosening any of
@@ -54,7 +60,7 @@ _QUANTIZED_ABS_TOL = 1.0  # when the curve predicts < 2, counts sit on 0 or 1
 
 def test_criterion_1_golden_reference_split(capsys):
     """The 187 = 11 x 17 split is exact, instant, and stable end to end."""
-    assert init_search(187) == SearchState(n=187, y0=14, k=0, d=9)
+    assert fermat_factor(187, Budget(max_iterations=0)).resume == SearchState(n=187, y0=14, k=0)
     assert fermat_factor(187) == Found(p=11, q=17, k=0, iterations=0)
     assert xscan_factor(187) == Found(p=11, q=17, k=0, iterations=3)
     assert predict_k(187, 3) == 0
@@ -171,7 +177,7 @@ def test_criterion_5_hard_modulus_budget_and_resume():
 
     fresh = fermat_factor(n, Budget(max_iterations=_HARD_BUDGET + _HARD_RESUME_EXTRA))
     assert isinstance(fresh, BudgetExhausted)
-    assert fresh.resume == second.resume  # the d identity holds by construction
+    assert fresh.resume == second.resume
 
 
 def test_criterion_6_iteration_counts_follow_analytic_curve():
@@ -206,21 +212,65 @@ def test_criterion_6_iteration_counts_follow_analytic_curve():
     assert wall < _LADDER_SECONDS, f"ladder study took {wall:.1f} s"
 
 
+def _reference_scan(a, c, i, end):
+    # the first (u, r) with u = a + j, i <= j < end, and u*u + c == r*r, by
+    # an exact square root of every candidate
+    for u in range(a + i, a + end):
+        t = u * u + c
+        r = math.isqrt(t)
+        if r * r == t:
+            return u, r
+    return None
+
+
 def test_criterion_7_square_detection_is_sound():
-    """The residue prefilter never rejects a true square, and the full
-    detector agrees with the integer square root on wide operands."""
-    for r in range(100_001):
-        assert residue_filter(r * r), f"rejected {r}**2"
+    """The walk's residue screens never reject a square, checked over
+    every residue class of every screen modulus, and on wide operands
+    the kernel agrees with the integer square root."""
+    # the sieve: bit u of the mask for c is set wherever u*u + c is r*r mod m
+    for m in _SIEVE:
+        period = (1 << m) - 1
+        # unwrapped, so that the even c of m = 704, which no walk has, stay out of the cache
+        masks = [_mask.__wrapped__(m, c) & period for c in range(m)]
+        for u in range(m):
+            for r in range(m):
+                assert masks[(r * r - u * u) % m] >> u & 1, (m, u, r)
+    # the step table: for every odd c it stops at every u (its step from u - 1
+    # is 1) for which u*u + c can be a square mod 64 and mod 11
+    squares_64 = {v * v % 64 for v in range(64)}
+    squares_11 = {v * v % 11 for v in range(11)}
+    for c in range(1, 704, 2):
+        steps = _step_table(c)
+        for u in range(704):
+            t = u * u + c
+            if t % 64 in squares_64 and t % 11 in squares_11:
+                assert steps[u - 1] == 1, (c, u)
+    # stage 1's screens past the step table
+    for m, table in zip((63, 65), _SCREENS):
+        assert all(table[v * v % m] for v in range(m)), m
+
     rng = random.Random(2026)
-    for _ in range(100_000):
-        v = rng.getrandbits(256)
-        root = floor_sqrt(v)
-        assert is_perfect_square(v).is_square == (root * root == v)
-    # spot checks on exact squares of wide roots
+    # 1000 windows of 128 candidates on 256-bit moduli, both walks, starting
+    # in stage 1 (so crossing into stage 2) or deep in stage 2
+    for _ in range(1000):
+        n = rng.getrandbits(256) | 1
+        a, c = (ceil_sqrt(n), -n) if rng.getrandbits(1) else (0, n)
+        i = rng.randrange(3 * _T) if rng.getrandbits(1) else rng.randrange(1 << 40)
+        assert _scan(a, c, i, i + 128) == _reference_scan(a, c, i, i + 128), (n, i)
+    # planted squares of 128-bit roots: u*u + c == r*r at walk index j
     for _ in range(2_000):
-        r = rng.getrandbits(128)
-        test = is_perfect_square(r * r)
-        assert test.is_square and test.root == r
+        x, y = sorted(rng.getrandbits(128) for _ in range(2))
+        y += 1 - (y - x) % 2  # opposite parity makes n odd
+        n = y * y - x * x
+        if rng.getrandbits(1):
+            a, c, j = 0, n, x  # the x-walk hits u = x with root y
+        else:
+            a, c = ceil_sqrt(n), -n
+            j = y - a  # the y-walk hits u = y with root x
+        i, end = max(0, j - rng.randrange(64)), j + 1 + rng.randrange(64)
+        found = _scan(a, c, i, end)
+        assert found == _reference_scan(a, c, i, end), (n, j)
+        assert found is not None and found[0] <= a + j, (n, j)
 
 
 def test_criterion_8_reproducibility_bit_for_bit():

@@ -25,27 +25,22 @@ _MERSENNE_89 = 2**89 - 1  # a prime past the exact range, so is_probable_prime c
 _ENTRY_POINTS = (
     (engine.fermat_factor, (187, _WALK_BUDGET, None), (0, 1, 2)),
     (engine.xscan_factor, (187, _WALK_BUDGET, None), (0, 1, 2)),
-    (engine.resume_fermat, (SearchState(187, 14, 0, 9), _WALK_BUDGET, None), (0, 1, 2)),
+    (engine.resume_fermat, (SearchState(187, 14, 0), _WALK_BUDGET, None), (0, 1, 2)),
     (engine.resume_xscan, (XScanState(187, 14, 0), _WALK_BUDGET, None), (0, 1, 2)),
-    (engine.init_search, (187,), (0,)),
-    (engine.step, (SearchState(187, 14, 0, 9),), (0,)),
     (engine.checkpoint_line, (XScanState(187, 14, 0),), (0,)),
     (engine.parse_checkpoint, ("n=187 y0=14 k=0",), (0,)),
     (engine.predict_k, (187, 3), (0, 1)),
     (engine.normalize_input, (374,), (0,)),
-    (engine.SearchState, (187, 14, 0, 9), (0, 1, 2, 3)),
+    (engine.SearchState, (187, 14, 0), (0, 1, 2)),
     (engine.XScanState, (187, 14, 0), (0, 1, 2)),
     (engine.Budget, (None, None), (0, 1)),
     (engine.NormalizedInput, (1, 187), (0, 1)),
-    (numeric.floor_sqrt, (187,), (0,)),
     (numeric.ceil_sqrt, (187,), (0,)),
     (numeric.int_to_str, (187,), (0,)),
     (numeric.str_to_int, ("187",), (0,)),
     (numeric.json_int, (187,), (0,)),
     (numeric.shown, (187,), (0,)),
     (numeric.require_int, ("n", 187, 0), (1,)),
-    (numeric.residue_filter, (196,), (0,)),
-    (numeric.is_perfect_square, (196,), (0,)),
     (numeric.is_probable_prime, (_MERSENNE_89, None), (0, 1)),
 )
 

@@ -25,13 +25,11 @@ from sqfactor.engine import (
     XScanState,
     checkpoint_line,
     fermat_factor,
-    init_search,
     normalize_input,
     parse_checkpoint,
     predict_k,
     resume_fermat,
     resume_xscan,
-    step,
     _mask,
     _masks,
     _scan,
@@ -40,7 +38,7 @@ from sqfactor.engine import (
     _y_state,
     xscan_factor,
 )
-from sqfactor.numeric import ceil_sqrt, is_perfect_square
+from sqfactor.numeric import ceil_sqrt
 from sqfactor.semiprimes import SemiprimeSpec, generate
 
 odd_moduli = st.integers(min_value=1, max_value=1 << 128).map(lambda v: 2 * v + 1)
@@ -61,93 +59,70 @@ def _plain_outcome(y0, y, x, index):
     return Found(p=y - x, q=y + x, k=y - y0, iterations=index)
 
 
+def _root(t):
+    # the exact square root of t, or None: math.isqrt alone, no residue screen
+    r = math.isqrt(t)
+    return r if r * r == t else None
+
+
 def _plain_fermat(n, start, budget):
     # reference y-walk from index start: test every deficit, no residue jumps
     y0 = ceil_sqrt(n)
     for k in range(start, start + budget):
-        test = is_perfect_square((y0 + k) ** 2 - n)
-        if test.is_square:
-            return _plain_outcome(y0, y0 + k, test.root, k)
+        x = _root((y0 + k) ** 2 - n)
+        if x is not None:
+            return _plain_outcome(y0, y0 + k, x, k)
     k = start + budget
-    return BudgetExhausted(iterations=k, resume=SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n))
+    return BudgetExhausted(iterations=k, resume=SearchState(n=n, y0=y0, k=k))
 
 
 def _plain_xscan(n, start, budget):
     # reference x-walk from half-gap start: test n + x*x for every x
     y0 = ceil_sqrt(n)
     for x in range(start, start + budget):
-        test = is_perfect_square(n + x * x)
-        if test.is_square:
-            return _plain_outcome(y0, test.root, x, x)
+        y = _root(n + x * x)
+        if y is not None:
+            return _plain_outcome(y0, y, x, x)
     x = start + budget
     return BudgetExhausted(iterations=x, resume=XScanState(n=n, y0=y0, x=x))
 
 
 class TestSearchState:
     def test_init_reference_values(self):
-        assert init_search(187) == SearchState(n=187, y0=14, k=0, d=9)
-        assert init_search(9) == SearchState(n=9, y0=3, k=0, d=0)
-        assert init_search(5959) == SearchState(n=5959, y0=78, k=0, d=125)
+        # a walk's first state is k = 0 at y0 = ceil_sqrt(n)
+        for n, y0 in ((187, 14), (9, 3), (5959, 78)):
+            assert fermat_factor(n, Budget(max_iterations=0)).resume == SearchState(n=n, y0=y0, k=0)
 
     def test_iterations_equals_k(self):
-        s = init_search(5959)
-        assert s.iterations == 0
-        assert step(step(s)).iterations == 2
+        assert SearchState(n=5959, y0=78, k=0).iterations == 0
+        assert fermat_factor(5959, Budget(max_iterations=1)).resume.iterations == 1
 
     @pytest.mark.parametrize("bad", [1, 2, 4, 0, -3, 187.0])
     def test_init_rejects_bad_moduli(self, bad):
         with pytest.raises(ValueError):
-            init_search(bad)
+            SearchState(n=bad, y0=2, k=0)
 
     def test_state_validates_fields(self):
         with pytest.raises(ValueError):
-            SearchState(n=187, y0=13, k=0, d=9)  # y0 must be the ceiling root
+            SearchState(n=187, y0=13, k=0)  # y0 must be the ceiling root
         with pytest.raises(ValueError):
-            SearchState(n=187, y0=14, k=0, d=10)  # d inconsistent
-        with pytest.raises(ValueError):
-            SearchState(n=187, y0=14, k=-1, d=9)
+            SearchState(n=187, y0=14, k=-1)
 
     @pytest.mark.parametrize("bad", [2.5, 1.0, True])
     def test_counts_must_be_ints(self, bad):
         with pytest.raises(ValueError, match="must be an int"):
-            SearchState(n=187, y0=14, k=bad, d=(14 + bad) ** 2 - 187)
+            SearchState(n=187, y0=14, k=bad)
         with pytest.raises(ValueError, match="must be an int"):
             XScanState(n=187, y0=14, x=bad)
 
-    def test_root_and_deficit_must_be_ints(self):
-        # 14.0 == 14 and 9.0 == 9, so the equality checks alone let these in
+    def test_root_must_be_an_int(self):
+        # 14.0 == 14, so the equality check alone would let these in
         for bad in (
-            lambda: SearchState(n=187, y0=14.0, k=0, d=9),
-            lambda: SearchState(n=187, y0=14, k=0, d=9.0),
+            lambda: SearchState(n=187, y0=14.0, k=0),
             lambda: XScanState(n=187, y0=14.0, x=0),
         ):
             with pytest.raises(ValueError, match="must be an int"):
                 bad()
-
-
-class TestStep:
-    def test_reference_increments(self):
-        assert step(SearchState(187, 14, 0, 9)) == SearchState(187, 14, 1, 38)
-        assert step(SearchState(9, 3, 0, 0)) == SearchState(9, 3, 1, 7)
-        assert step(SearchState(5959, 78, 0, 125)) == SearchState(5959, 78, 1, 282)
-
-    def test_recurrence_matches_direct_multiplication(self):
-        rng = random.Random(11)
-        for _ in range(10_000):
-            n = rng.randrange(3, 1 << 48) | 1
-            y0 = ceil_sqrt(n)
-            k = rng.randrange(0, 1 << 20)
-            state = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
-            out = step(state)
-            assert out.d == (y0 + k + 1) ** 2 - n
-            assert out.k == k + 1
-
-    @given(odd_moduli, st.integers(min_value=0, max_value=1 << 40))
-    @settings(max_examples=200)
-    def test_recurrence_property(self, n, k):
-        y0 = ceil_sqrt(n)
-        state = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
-        assert step(state).d == (y0 + k + 1) ** 2 - n
 
 
 class TestFermatFactor:
@@ -177,30 +152,10 @@ class TestFermatFactor:
 
     def test_matches_single_step_reference_walk(self):
         # the production loop skips candidates a residue table proves
-        # non-square; a plain walk over every k must see the same hit
+        # non-square; a plain walk over every k must see the same outcome
         rng = random.Random(23)
-        moduli = [rng.randrange(9, 1 << 34) | 1 for _ in range(150)]
-        for n in moduli:
-            state = init_search(n)
-            reference = None
-            for _ in range(3000):
-                test = is_perfect_square(state.d)
-                if test.is_square:
-                    reference = ("hit", state.k, test.root)
-                    break
-                state = step(state)
-            out = fermat_factor(n, Budget(max_iterations=3000))
-            if reference is None:
-                assert isinstance(out, BudgetExhausted)
-                assert out.iterations == 3000
-            else:
-                _, k, x = reference
-                y = state.y0 + k
-                if y - x == 1:
-                    assert isinstance(out, NoNontrivialFactor)
-                    assert out.iterations == k
-                else:
-                    assert out == Found(p=y - x, q=y + x, k=k, iterations=k)
+        for n in [rng.randrange(9, 1 << 34) | 1 for _ in range(150)]:
+            assert fermat_factor(n, Budget(max_iterations=3000)) == _plain_fermat(n, 0, 3000)
 
     def test_iteration_identity_on_semiprimes(self):
         for seed in range(300):
@@ -242,15 +197,13 @@ class TestFermatFactor:
 class TestBudgets:
     def test_exhaustion_reports_current_state(self):
         out = fermat_factor(5959, Budget(max_iterations=1))
-        assert out == BudgetExhausted(
-            iterations=1, resume=SearchState(n=5959, y0=78, k=1, d=282)
-        )
+        assert out == BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1))
 
     def test_zero_budget_examines_nothing(self):
         out = fermat_factor(187, Budget(max_iterations=0))
         assert isinstance(out, BudgetExhausted)
         assert out.iterations == 0
-        assert out.resume == init_search(187)
+        assert out.resume == SearchState(n=187, y0=14, k=0)
 
     def test_resume_fidelity_across_split_points(self):
         # budget b then resume must replay the unlimited run exactly
@@ -280,7 +233,7 @@ class TestBudgets:
         n = (2**89 - 1) * (2**107 - 1)  # enormous gap, will not finish
         out = fermat_factor(n, Budget(max_seconds=0.05))
         assert isinstance(out, BudgetExhausted)
-        assert out.resume.d == (out.resume.y0 + out.resume.k) ** 2 - n
+        assert out.resume == SearchState(n=n, y0=ceil_sqrt(n), k=out.iterations)
         # picking up from the time-boxed state keeps the walk aligned
         more = resume_fermat(out.resume, Budget(max_iterations=100))
         assert more.iterations == out.iterations + 100
@@ -310,7 +263,7 @@ class TestBudgets:
         # non-callable progress with a TypeError at its first report
         call = {
             "fermat_factor": lambda *a: fermat_factor(187, *a),
-            "resume_fermat": lambda *a: resume_fermat(init_search(187), *a),
+            "resume_fermat": lambda *a: resume_fermat(SearchState(n=187, y0=14, k=0), *a),
             "xscan_factor": lambda *a: xscan_factor(187, *a),
             "resume_xscan": lambda *a: resume_xscan(XScanState(n=187, y0=14, x=0), *a),
         }[walk]
@@ -446,9 +399,6 @@ class TestResumeStateType:
     @pytest.mark.parametrize(
         "func, arg, wording",
         [
-            pytest.param(step, None, "step needs a SearchState, got NoneType", id="step-None"),
-            pytest.param(step, XScanState(187, 14, 0), "step needs a SearchState, got XScanState",
-                         id="step-XScanState"),
             pytest.param(checkpoint_line, None,
                          "checkpoint_line needs a SearchState or an XScanState, got NoneType",
                          id="checkpoint_line-None"),
@@ -472,7 +422,7 @@ class TestOutcomes:
         assert repr(fermat_factor(187)) == "Found(p=11, q=17, k=0, iterations=0)"
         assert repr(fermat_factor(7)) == "NoNontrivialFactor(iterations=1)"
         assert repr(fermat_factor(5959, Budget(max_iterations=1))) == (
-            "BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1, d=282))"
+            "BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1))"
         )
 
     def test_fields_cannot_be_assigned(self):
@@ -482,7 +432,7 @@ class TestOutcomes:
                 out.iterations = 5
 
     def test_different_types_never_compare_equal(self):
-        state = SearchState(n=5959, y0=78, k=1, d=282)
+        state = SearchState(n=5959, y0=78, k=1)
         outcomes = [
             Found(p=1, q=1, k=1, iterations=1),
             Found(p=state, q=state, k=state, iterations=state),
@@ -521,7 +471,7 @@ class TestOutcomes:
             (
                 resume_fermat(y_state, Budget(max_iterations=0)),
                 BudgetExhausted,
-                "BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1, d=282))",
+                "BudgetExhausted(iterations=1, resume=SearchState(n=5959, y0=78, k=1))",
                 (1, y_state),
             ),
             (
@@ -540,7 +490,7 @@ class TestOutcomes:
 
 
 _RECORDS = [
-    (SearchState(n=187, y0=14, k=0, d=9), (187, 14, 0, 9), "SearchState(n=187, y0=14, k=0, d=9)"),
+    (SearchState(n=187, y0=14, k=0), (187, 14, 0), "SearchState(n=187, y0=14, k=0)"),
     (XScanState(n=5959, y0=78, x=7), (5959, 78, 7), "XScanState(n=5959, y0=78, x=7)"),
     (Budget(max_iterations=10), (10, None), "Budget(max_iterations=10, max_seconds=None)"),
     (Budget(max_seconds=1.5), (None, 1.5), "Budget(max_iterations=None, max_seconds=1.5)"),
@@ -595,28 +545,24 @@ class TestRecords:
 
     def test_pickle_rebuilds_through_validation(self):
         # a payload naming an inconsistent state is refused, not loaded
-        bad = pickle.dumps(SearchState._trusted(187, 14, 0, 10))
-        with pytest.raises(ValueError, match="d must equal"):
+        bad = pickle.dumps(SearchState._trusted(187, 13, 0))
+        with pytest.raises(ValueError, match="y0 must equal ceil_sqrt"):
             pickle.loads(bad)
 
     def test_match_by_position(self):
-        match init_search(187):
-            case SearchState(n, y0, k, d):
-                assert (n, y0, k, d) == (187, 14, 0, 9)
+        match fermat_factor(187, Budget(max_iterations=0)).resume:
+            case SearchState(n, y0, k):
+                assert (n, y0, k) == (187, 14, 0)
 
     @given(odd_moduli, st.integers(min_value=0, max_value=80))
     @settings(max_examples=100)
     def test_trusted_paths_equal_the_validated_state(self, n, k):
         y0 = ceil_sqrt(n)
-        public = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
-        stepped = init_search(n)
-        for _ in range(k):
-            stepped = step(stepped)
+        public = SearchState(n=n, y0=y0, k=k)
         trusted = (
-            SearchState._trusted(n, y0, k, public.d),
+            SearchState._trusted(n, y0, k),
             _y_state(n, y0, k),
             parse_checkpoint(checkpoint_line(public)),
-            stepped,
         )
         for state in trusted:
             assert type(state) is SearchState
@@ -652,7 +598,7 @@ class TestCheckpoints:
         if x_walk:
             state = XScanState(n=n, y0=y0, x=k)
         else:
-            state = SearchState(n=n, y0=y0, k=k, d=(y0 + k) ** 2 - n)
+            state = SearchState(n=n, y0=y0, k=k)
         assert parse_checkpoint(checkpoint_line(state)) == state
 
     @pytest.mark.parametrize(
@@ -739,7 +685,7 @@ class TestNormalizeInput:
 
     @pytest.mark.parametrize("bad", [2.5, 8.0, "8", True, None])
     def test_non_int_modulus_rejected(self, bad):
-        for call in (normalize_input, fermat_factor, xscan_factor, init_search):
+        for call in (normalize_input, fermat_factor, xscan_factor, lambda n: SearchState(n, 14, 0)):
             with pytest.raises(ValueError, match="modulus must be an int, got "):
                 call(bad)
 

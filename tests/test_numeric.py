@@ -12,48 +12,14 @@ from sqfactor import numeric, semiprimes
 from sqfactor.bench import run_study
 from sqfactor.engine import fermat_factor, normalize_input
 from sqfactor.numeric import (
-    SquareTestResult,
     _mr_witness_passes,
     ceil_sqrt,
-    floor_sqrt,
     int_to_str,
-    is_perfect_square,
     is_probable_prime,
     json_int,
-    residue_filter,
     str_to_int,
 )
 from sqfactor.semiprimes import generate_in_window
-
-
-class TestFloorSqrt:
-    def test_reference_values(self):
-        assert floor_sqrt(187) == 13
-        assert floor_sqrt(0) == 0
-        assert floor_sqrt(10**18) == 10**9
-
-    def test_exhaustive_postcondition_to_1e6(self):
-        # r*r <= n < (r+1)*(r+1) for every n up to a million
-        r = 0
-        for n in range(10**6 + 1):
-            if (r + 1) * (r + 1) <= n:
-                r += 1
-            assert floor_sqrt(n) == r
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            floor_sqrt(-1)
-
-    @given(st.integers(min_value=0, max_value=1 << 4096))
-    def test_postcondition_arbitrary_width(self, n):
-        r = floor_sqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
-
-    def test_agrees_with_math_isqrt(self):
-        rng = random.Random(0xF00)
-        for _ in range(2000):
-            n = rng.getrandbits(rng.randrange(1, 700))
-            assert floor_sqrt(n) == math.isqrt(n)
 
 
 class TestCeilSqrt:
@@ -65,7 +31,7 @@ class TestCeilSqrt:
 
     def test_floor_ceil_relation_exhaustive(self):
         for n in range(10**5):
-            f = floor_sqrt(n)
+            f = math.isqrt(n)
             assert ceil_sqrt(n) == f + (0 if f * f == n else 1)
 
     @given(st.integers(min_value=0, max_value=1 << 512))
@@ -74,65 +40,6 @@ class TestCeilSqrt:
         assert r * r >= n
         if r:
             assert (r - 1) * (r - 1) < n
-
-
-class TestResidueFilter:
-    def test_sound_on_squares_exhaustive(self):
-        for r in range(100_001):
-            assert residue_filter(r * r)
-
-    def test_rejects_two(self):
-        # 2 is a quadratic non-residue mod 64 (and already mod 16)
-        assert residue_filter(2) is False
-
-    def test_passes_196(self):
-        assert residue_filter(196) is True
-
-    def test_rejection_rate_is_high(self):
-        rng = random.Random(1)
-        sample = [rng.getrandbits(64) for _ in range(20_000)]
-        passed = sum(residue_filter(n) for n in sample)
-        # jointly the four moduli admit ~0.8% of uniform integers
-        assert passed / len(sample) < 0.02
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            residue_filter(-4)
-
-
-class TestIsPerfectSquare:
-    def test_reference_values(self):
-        assert is_perfect_square(196) == SquareTestResult(True, 14)
-        assert is_perfect_square(9) == SquareTestResult(True, 3)
-        assert is_perfect_square(2) == SquareTestResult(False, None)
-        assert is_perfect_square(0) == SquareTestResult(True, 0)
-
-    def test_root_recovery_256_bit(self):
-        rng = random.Random(2)
-        for _ in range(10_000):
-            r = rng.getrandbits(256)
-            out = is_perfect_square(r * r)
-            assert out.is_square and out.root == r
-
-    def test_agreement_with_floor_sqrt_definition(self):
-        rng = random.Random(3)
-        for _ in range(100_000):
-            n = rng.getrandbits(256)
-            expected = floor_sqrt(n) ** 2 == n
-            assert is_perfect_square(n).is_square == expected
-
-    def test_negative_is_not_square(self):
-        assert is_perfect_square(-9) == SquareTestResult(False, None)
-
-    @given(st.integers(min_value=0, max_value=1 << 600))
-    @settings(max_examples=300)
-    def test_never_lies(self, n):
-        out = is_perfect_square(n)
-        if out.is_square:
-            assert out.root * out.root == n
-        else:
-            r = floor_sqrt(n)
-            assert r * r != n
 
 
 def _sieve(limit):
@@ -230,14 +137,7 @@ class TestJunkInput:
             pytest.param(int_to_str, (True,), "n must be an int, got True", id="int_to_str-True"),
             pytest.param(json_int, ("x",), "n must be an int, got 'x'", id="json_int-str"),
             pytest.param(json_int, (2.0**60,), "n must be an int, got 1.15", id="json_int-float"),
-            pytest.param(is_perfect_square, ("x",), "n must be an int, got 'x'",
-                         id="is_perfect_square-str"),
-            pytest.param(residue_filter, (2.5,), "n must be an int, got 2.5",
-                         id="residue_filter-float"),
             # math.isqrt alone would take True as 1, and raise TypeError for the rest
-            pytest.param(floor_sqrt, (True,), "n must be an int, got True", id="floor_sqrt-True"),
-            pytest.param(floor_sqrt, (2.0,), "n must be an int, got 2.0", id="floor_sqrt-float"),
-            pytest.param(floor_sqrt, ("4",), "n must be an int, got '4'", id="floor_sqrt-str"),
             pytest.param(ceil_sqrt, (True,), "n must be an int, got True", id="ceil_sqrt-True"),
             pytest.param(ceil_sqrt, (None,), "n must be an int, got None", id="ceil_sqrt-None"),
             pytest.param(ceil_sqrt, ("4",), "n must be an int, got '4'", id="ceil_sqrt-str"),
@@ -272,11 +172,9 @@ class TestJunkInput:
 
         assert int_to_str(Int(-187)) == "-187"
         assert json_int(Int(-(2**53))) == "-9007199254740992"
-        assert is_perfect_square(Int(-9)) == SquareTestResult(False, None)
-        assert (floor_sqrt(Int(187)), ceil_sqrt(Int(187))) == (13, 14)
-        for func in (floor_sqrt, ceil_sqrt):
-            with pytest.raises(ValueError, match="must be nonnegative"):
-                func(Int(-1))
+        assert ceil_sqrt(Int(187)) == 14
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            ceil_sqrt(Int(-1))
 
         # the range checks word the answer, as they do for the plain int
         def answer(func, n):
