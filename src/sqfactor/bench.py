@@ -180,8 +180,10 @@ def run_study(
         raise ValueError(f"budget must be a Budget or None, got {type(budget).__name__}")
     if not methods:
         raise ValueError("methods must be nonempty")
-    for m in methods:
+    for i, m in enumerate(methods):
         _require_one_of("method", m, METHODS)
+        if m in methods[:i]:
+            raise ValueError(f"method {shown(m)} is listed twice")
     windows = ladder_windows(gaps)
     cells = []
     for rung_seed, (lo, hi) in zip(rung_seeds(seed, len(windows)), windows):

@@ -278,7 +278,7 @@ def _cmd_bench(args) -> int:
 
 def _parse_gaps(text: str) -> list[int]:
     try:
-        return [str_to_int(part) for part in text.split(",") if part != ""]
+        return [str_to_int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"gaps {shown(text)} must be comma-separated integers")
 

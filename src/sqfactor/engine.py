@@ -58,14 +58,13 @@ u*u, so a mask is symmetric under u -> -u: shifted right by -top mod m,
 top being the slice's last u, its bit v stands for u = top - v.  ANDed,
 the ten leave set exactly the bits of the u that pass every screen,
 the lowest u in the highest bit; a slice with none is done.  The
-kernel reads the first _FEW of them by bit_length() and any left over
-in one pass over the result's binary string, which in this orientation
-ascends in u; t is built only for those u.  Stage 2 screens by more
-moduli, so it admits a subset of the u stage 1 would.  Neither changes
-a hit or an iteration count: a square passes every screen.  A tiny
-split, over before _T, builds no mask.  c is odd, so there are at most
-352 step tables, in the list _steps, and 352 + 63 + 65 + 197 masks, in
-_mask's cache; _masks keeps the last four c.
+kernel reads them top-down, one bit_length() and one cleared bit per
+survivor, so in ascending u, and builds t only for those u.  Stage 2
+screens by more moduli, so it admits a subset of the u stage 1 would.
+Neither changes a hit or an iteration count: a square passes every
+screen.  A tiny split, over before _T, builds no mask.  c is odd, so
+there are at most 352 step tables, in the list _steps, and 352 + 63 +
+65 + 197 masks, in _mask's cache; _masks keeps the last four c.
 
 The driver, _walk, calls the kernel once per slice of _SLICE candidates
 and owns everything else: the stop index a budget sets, the deadline
@@ -417,11 +416,6 @@ def _masks(c: int) -> tuple:
     return tuple([(m, _mask(m, c % m)) for m in _SIEVE])
 
 
-# Survivors a slice reads by its highest set bit, about 0.2 us each, before
-# one bin() pass, about 11 us for a whole slice, reads the rest.
-_FEW = 8
-
-
 def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     """First (u, r) with u = a + j for some j in [i, end) and u*u + c ==
     r*r, or None.
@@ -460,9 +454,7 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
     for m, mask in _masks(c):
         acc &= mask >> -top % m
     isqrt = math.isqrt
-    for _ in range(_FEW):
-        if not acc:
-            return None
+    while acc:
         p = acc.bit_length() - 1
         v = top - p
         t = v * v + c
@@ -470,16 +462,6 @@ def _scan(a: int, c: int, i: int, end: int) -> tuple | None:
         if r * r == t:
             return v, r
         acc ^= 1 << p
-    bits = bin(acc)
-    base = top + 1 - len(bits)  # the character at index p stands for base + p
-    p = bits.find("1")  # the "0b" prefix holds no "1"
-    while p >= 0:
-        v = base + p
-        t = v * v + c
-        r = isqrt(t)
-        if r * r == t:
-            return v, r
-        p = bits.find("1", p + 1)
     return None
 
 

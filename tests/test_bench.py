@@ -348,6 +348,8 @@ class TestRunStudy:
             run_study(bits=16, gaps=[4], seed=0, methods=("fermat", "rho"))
         with pytest.raises(ValueError):
             run_study(bits=16, gaps=[4], seed=0, methods=())
+        with pytest.raises(ValueError, match="method 'fermat' is listed twice"):
+            run_study(bits=16, gaps=[4], seed=0, methods=("fermat", "xscan", "fermat"))
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_study(bits=16, gaps=[4], seed=0, workers=0)
 

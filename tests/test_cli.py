@@ -577,6 +577,7 @@ class TestBenchCommand:
         [
             ("--methods", "rho"), ("--bits", "2"), ("--seed", "-1"), ("--gaps", "64,8"),
             ("--workers", "0"), ("--workers", "-3"), ("--gaps", ","),
+            ("--methods", "fermat,fermat"), ("--gaps", "8,,64"), ("--gaps", "8,"),
         ],
     )
     def test_usage_error_leaves_out_untouched(self, capsys, tmp_path, flag, value):

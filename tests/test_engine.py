@@ -1011,16 +1011,16 @@ class TestKernel:
 
     @pytest.mark.parametrize("walk", "yx")
     def test_survivors_before_the_hit_are_read_in_order(self, walk):
-        # stage 2 reads a slice's first survivors by its highest set bit and
-        # the rest from one bin() string: windows with 0, 7, 8, 9 and 16
-        # survivors before the hit, or with no hit, and hits at a slice's
-        # first and last u, reach isqrt in ascending order and agree with
-        # the reference
+        # stage 2 reads every survivor by the highest set bit left: windows
+        # with 0, 7, 8, 9 and 16 survivors before the hit, a whole dense
+        # slice with no hit, and hits at a slice's first and last u, reach
+        # isqrt in ascending order and agree with the reference
         hit = 3 * _SLICE + 101
         a, c = _dense_planted(walk, hit)
         survivors = [j for j in range(hit - _SLICE, hit) if _passes_the_screens(a + j, c)]
         assert len(survivors) > 1000
         windows = [(hit, hit + _SLICE), (hit + 1 - _SLICE, hit + 1)]  # first and last u
+        windows.append((hit - _SLICE, hit))  # every survivor of a slice, no hit
         for count in (0, 7, 8, 9, 16):
             i = survivors[-count] if count else survivors[-1] + 1
             windows += [(i, hit), (i, hit + 1), (i, hit + 50)]
